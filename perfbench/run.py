@@ -6,29 +6,19 @@
 
 Run from the root of a checkout. Builds the repository's libraries and the
 kgbench program from source (Release, into $CARGO_TARGET_DIR or
-.bench_build), then runs one workload with the frozen parameters of
-perfbench/config.json. The last line of stdout is the result object.
+.bench_build), then runs one workload. The workloads' parameters are
+constants in their sources (perfbench/src). The last line of stdout is the
+result object.
 Exits non-zero, without a result line, if the build or the run fails.
 """
 import argparse
-import json
 import os
 import subprocess
 import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 RUN_TIMEOUT_S = 170
-
-
-def flatten(prefix, value, out):
-    if isinstance(value, dict):
-        for k, v in value.items():
-            flatten(f"{prefix}.{k}" if prefix else k, v, out)
-    elif isinstance(value, list):
-        out[prefix] = ",".join(repr(x) if isinstance(x, float) else str(x)
-                               for x in value)
-    else:
-        out[prefix] = repr(value) if isinstance(value, float) else str(value)
+WORKLOADS = ("serve-rw", "serve-ml", "train")
 
 
 def build(build_dir):
@@ -44,18 +34,11 @@ def build(build_dir):
 
 def main():
     ap = argparse.ArgumentParser()
-    ap.add_argument("--workload", required=True)
+    ap.add_argument("--workload", required=True, choices=WORKLOADS)
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--seconds", type=float, required=True)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = ap.parse_args()
-
-    with open(os.path.join(HERE, "config.json")) as f:
-        config = json.load(f)
-    if args.workload not in config["workloads"]:
-        sys.exit(f"run.py: unknown workload {args.workload!r}")
-    params = {}
-    flatten("", config["workloads"][args.workload], params)
 
     build_dir = os.environ.get("CARGO_TARGET_DIR") or ".bench_build"
     try:
@@ -70,8 +53,6 @@ def main():
         os.makedirs(trace_dir, exist_ok=True)
         cmd += ["--trace-out",
                 os.path.join(trace_dir, f"{args.workload}-seed{args.seed}")]
-    for key, value in params.items():
-        cmd += ["--set", f"{key}={value}"]
     try:
         proc = subprocess.run(cmd, timeout=RUN_TIMEOUT_S)
     except subprocess.TimeoutExpired:

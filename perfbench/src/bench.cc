@@ -1,5 +1,6 @@
 #include "bench.h"
 
+#include <dirent.h>
 #include <sched.h>
 #include <unistd.h>
 
@@ -10,7 +11,6 @@
 #include <cstring>
 #include <fstream>
 #include <set>
-#include <sstream>
 #include <thread>
 
 #include "common/thread_pool.h"
@@ -43,14 +43,6 @@ bool Params::Parse(int argc, char** argv) {
       trace = val == "1";
     } else if (arg == "--trace-out") {
       trace_out = val;
-    } else if (arg == "--set") {
-      const size_t eq = val.find('=');
-      if (eq == std::string::npos) {
-        std::fprintf(stderr, "kgbench: --set wants key=value: %s\n",
-                     val.c_str());
-        return false;
-      }
-      values_[val.substr(0, eq)] = val.substr(eq + 1);
     } else {
       std::fprintf(stderr, "kgbench: unknown argument %s\n", arg.c_str());
       return false;
@@ -61,48 +53,6 @@ bool Params::Parse(int argc, char** argv) {
     return false;
   }
   return true;
-}
-
-namespace {
-[[noreturn]] void ConfigError(const std::string& key, const char* why) {
-  std::fprintf(stderr, "kgbench: config key '%s' %s\n", key.c_str(), why);
-  std::exit(2);
-}
-}  // namespace
-
-std::string Params::Str(const std::string& key) const {
-  auto it = values_.find(key);
-  if (it == values_.end()) ConfigError(key, "is missing");
-  return it->second;
-}
-
-double Params::Num(const std::string& key) const {
-  const std::string s = Str(key);
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  if (end == s.c_str() || *end != '\0') ConfigError(key, "is not a number");
-  return v;
-}
-
-size_t Params::Size(const std::string& key) const {
-  const double v = Num(key);
-  if (v < 0 || v != std::floor(v)) ConfigError(key, "is not a count");
-  return static_cast<size_t>(v);
-}
-
-std::vector<double> Params::NumList(const std::string& key) const {
-  std::vector<double> out;
-  std::stringstream ss(Str(key));
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    char* end = nullptr;
-    const double v = std::strtod(item.c_str(), &end);
-    if (end == item.c_str() || *end != '\0')
-      ConfigError(key, "is not a list of numbers");
-    out.push_back(v);
-  }
-  if (out.empty()) ConfigError(key, "is empty");
-  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -116,10 +66,6 @@ uint64_t Rng::Next() {
 }
 
 double Rng::Uniform() { return (Next() >> 11) * (1.0 / 9007199254740992.0); }
-
-double Rng::Exponential(double mean) {
-  return -mean * std::log1p(-Uniform());
-}
 
 uint64_t SubSeed(uint64_t seed, const std::string& tag) {
   uint64_t h = 1469598103934665603ULL;  // FNV-1a over the tag
@@ -280,6 +226,57 @@ HostFacts ProbeHost() {
   h.pool_cpus_used = static_cast<int>(cpus.size());
   h.placement_ok = h.pool_cpus_used >= h.pool_threads_seen;
   return h;
+}
+
+const std::vector<int>& AllowedCpus() {
+  static const std::vector<int> cpus = [] {
+    std::vector<int> out;
+    cpu_set_t allowed;
+    if (sched_getaffinity(0, sizeof(allowed), &allowed) == 0)
+      for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu)
+        if (CPU_ISSET(cpu, &allowed)) out.push_back(cpu);
+    return out;
+  }();
+  return cpus;
+}
+
+namespace {
+
+std::vector<int> ThreadIds() {
+  std::vector<int> tids;
+  DIR* dir = opendir("/proc/self/task");
+  if (dir == nullptr) return tids;
+  while (const dirent* e = readdir(dir)) {
+    const int tid = std::atoi(e->d_name);
+    if (tid > 0) tids.push_back(tid);
+  }
+  closedir(dir);
+  std::sort(tids.begin(), tids.end());
+  return tids;
+}
+
+cpu_set_t CpuSet(const std::vector<int>& cpus) {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  for (int cpu : cpus) CPU_SET(cpu, &set);
+  return set;
+}
+
+}  // namespace
+
+void SpreadThreads(const std::vector<int>& cpus) {
+  if (cpus.empty()) return;
+  size_t i = 0;
+  for (int tid : ThreadIds()) {
+    const cpu_set_t one = CpuSet({cpus[i++ % cpus.size()]});
+    sched_setaffinity(tid, sizeof(one), &one);
+  }
+}
+
+void PinAllThreads(const std::vector<int>& cpus) {
+  if (cpus.empty()) return;
+  const cpu_set_t set = CpuSet(cpus);
+  for (int tid : ThreadIds()) sched_setaffinity(tid, sizeof(set), &set);
 }
 
 // ---------------------------------------------------------------------------

@@ -24,11 +24,10 @@ inline int64_t NowNs() {
 }
 
 // ---------------------------------------------------------------------------
-// Run parameters. Everything a workload reads comes from the command line:
-// run.py passes the frozen values of perfbench/config.json as --set k=v.
+// The command line. A workload's other parameters are constants in its own
+// source file (perfbench/README.md lists them).
 // ---------------------------------------------------------------------------
-class Params {
- public:
+struct Params {
   /// Parses argv; returns false (with a message on stderr) on bad input.
   bool Parse(int argc, char** argv);
 
@@ -37,16 +36,6 @@ class Params {
   double seconds = 0;
   bool trace = false;
   std::string trace_out;  // where the traced run writes its spans
-
-  /// Typed accessors for --set values; a missing or malformed key is a
-  /// fatal configuration error (the process exits 2).
-  double Num(const std::string& key) const;
-  size_t Size(const std::string& key) const;
-  std::vector<double> NumList(const std::string& key) const;
-  std::string Str(const std::string& key) const;
-
- private:
-  std::map<std::string, std::string> values_;
 };
 
 // ---------------------------------------------------------------------------
@@ -62,8 +51,6 @@ class Rng {
   double Uniform();
   /// Uniform in [0, n).
   size_t Below(size_t n) { return static_cast<size_t>(Uniform() * n); }
-  /// Exponential with the given mean.
-  double Exponential(double mean);
 
  private:
   uint64_t state_;
@@ -133,9 +120,26 @@ struct HostFacts {
   int pool_threads = 0;
   int pool_threads_seen = 0;  // distinct threads that ran probe chunks
   int pool_cpus_used = 0;     // distinct CPUs those threads ran on
+  int pool_cpus_unpinned = 0;  // the same, before SpreadThreads
   bool placement_ok = true;
 };
 HostFacts ProbeHost();
+
+/// The CPUs this process may run on, ascending, as at the first call:
+/// main makes it before it pins anything.
+const std::vector<int>& AllowedCpus();
+
+/// Pins every thread of the process, the i-th in thread-id order to
+/// cpus[i % cpus.size()] alone. main calls it after the first ProbeHost,
+/// so the shared pool's workers and main (which runs a share of every
+/// ParallelFor) run one per CPU: left to the scheduler they sometimes
+/// stayed stacked on fewer CPUs for a whole run, which slowed every
+/// parallel section of that run, set-up and training included.
+void SpreadThreads(const std::vector<int>& cpus);
+
+/// Pins every thread of the process, the calling one included, to the
+/// set `cpus`; threads they start later inherit it.
+void PinAllThreads(const std::vector<int>& cpus);
 
 // ---------------------------------------------------------------------------
 // Spans (traced run only). Each thread records into its own buffer; the

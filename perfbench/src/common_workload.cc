@@ -124,9 +124,12 @@ void AddHostFacts(const HostFacts& host, LayerValues* values,
   report->Info("pool_threads", std::to_string(host.pool_threads));
   report->Info("pool_threads_seen", std::to_string(host.pool_threads_seen));
   report->Info("pool_cpus_used", std::to_string(host.pool_cpus_used));
+  report->Info("pool_cpus_unpinned",
+               std::to_string(host.pool_cpus_unpinned));
   // A pool whose threads shared fewer CPUs than there were threads (the
-  // stacked placement of a noisy VM) makes every parallel number of the
-  // run meaningless: the run is marked invalid.
+  // stacked placement of a noisy VM, which pinning should prevent) makes
+  // every parallel number of the run meaningless: the run is marked
+  // invalid.
   report->Info("valid", host.placement_ok ? "true" : "false");
   if (!host.placement_ok)
     std::fprintf(stderr,

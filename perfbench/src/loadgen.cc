@@ -1,5 +1,7 @@
 #include "loadgen.h"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <atomic>
 #include <cmath>
@@ -51,24 +53,33 @@ void Account(const OpResult& r, int64_t due_abs, ClassStats* c) {
   c->service_ms.push_back((r.done_ns - r.send_ns) / 1e6);
 }
 
-}  // namespace
+// Set by SplitPlacement before any phase; empty: clients are not pinned.
+std::vector<int> g_client_cpus;
 
-namespace {
+void PinSelf(int cpu) {
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  sched_setaffinity(0, sizeof(one), &one);
+}
 
 PhaseStats Run(const std::string& name, double rate, double duration_s,
                const std::vector<Op>& ops, size_t num_classes, int threads,
                const Executor& exec, double abandon_late_s, bool closed,
                std::vector<OpResult>* results_out) {
   std::vector<OpResult> results(ops.size());
+  const std::vector<int> client_cpus = g_client_cpus;
   std::atomic<size_t> next{0};
   std::atomic<bool> abandoned{false};
   const int64_t abandon_ns = static_cast<int64_t>(abandon_late_s * 1e9);
-  // Start slightly in the future so every thread is parked before the
-  // first arrival is due.
-  const int64_t start = NowNs() + 2'000'000;
+  // An open phase starts slightly in the future so every thread is parked
+  // before the first arrival is due.
+  const int64_t start = NowNs() + (closed ? 0 : 2'000'000);
   std::vector<std::thread> pool;
   for (int t = 0; t < threads; ++t) {
     pool.emplace_back([&, t] {
+      if (!client_cpus.empty())
+        PinSelf(client_cpus[static_cast<size_t>(t) % client_cpus.size()]);
       for (;;) {
         const size_t i = next.fetch_add(1);
         if (i >= ops.size() || abandoned.load()) return;
@@ -165,6 +176,23 @@ PhaseStats RunClosedPhase(const std::string& name, const std::vector<Op>& ops,
   p.rate = p.achieved_rps;
   p.backlog_slope = 0;  // no schedule to fall behind
   return p;
+}
+
+std::string SplitPlacement() {
+  const std::vector<int> cpus = AllowedCpus();
+  if (cpus.size() < 2) return "unpinned";
+  const auto mid = cpus.begin() + static_cast<long>(cpus.size() / 2);
+  PinAllThreads(std::vector<int>(mid, cpus.end()));
+  g_client_cpus.assign(cpus.begin(), mid);
+  auto list = [](std::vector<int>::const_iterator b,
+                 std::vector<int>::const_iterator e) {
+    std::string s;
+    for (auto it = b; it != e; ++it)
+      s += (s.empty() ? "" : ",") + std::to_string(*it);
+    return s;
+  };
+  return "clients on " + list(cpus.begin(), mid) + ", the rest on " +
+         list(mid, cpus.end());
 }
 
 double ClassMedianGeoMeanMs(const PhaseStats& p) {

@@ -60,6 +60,18 @@ struct PhaseStats {
   bool abandoned = false;
 };
 
+/// Splits the CPUs the process may use in two: every thread that exists
+/// now (main, the shared pool, the server's acceptor and workers) and
+/// every thread they start later is pinned to the upper half, and the
+/// client threads of every later phase to the lower half, thread t on its
+/// own CPU (t mod half). Unpinned, the loopback runs on the 4-vCPU
+/// development host fell into two levels of closed-loop throughput about
+/// 2x apart, each lasting a whole run: the process used about 4 or about
+/// 2 CPUs depending on where the scheduler placed each client next to
+/// its server worker. Returns a description of the placement for the
+/// info line ("unpinned" if the process may use fewer than 2 CPUs).
+std::string SplitPlacement();
+
 /// The geometric mean over the phase's non-empty classes of each class's
 /// median latency: every class counts once whatever its share, and no
 /// class boundary can fall on the median, as it can for a pooled median

@@ -2,7 +2,7 @@
 // and runs
 //
 //   kgbench --workload serve-rw|serve-ml|train --seed N --seconds S
-//           --trace 0|1 [--trace-out FILE] --set key=value ...
+//           --trace 0|1 [--trace-out FILE]
 //
 // The last line of stdout is the result object; the line before it
 // ("info {...}") carries the host facts and the per-phase accounting.
@@ -26,7 +26,13 @@ int main(int argc, char** argv) {
   report.Info("seconds", kgbench::JsonNumber(params.seconds));
   report.Info("trace", params.trace ? "true" : "false");
   report.Info("build_type", kgbench::JsonString(KGBENCH_BUILD_TYPE));
-  const kgbench::HostFacts host = kgbench::ProbeHost();
+  // The placement check runs twice: on the scheduler's own placement of
+  // the pool, then on the pinned one the measurements use (a run is
+  // valid when pinning took).
+  const kgbench::HostFacts natural = kgbench::ProbeHost();
+  kgbench::SpreadThreads(kgbench::AllowedCpus());
+  kgbench::HostFacts host = kgbench::ProbeHost();
+  host.pool_cpus_unpinned = natural.pool_cpus_used;
 
   if (params.workload == "serve-rw") {
     kgbench::RunServeRw(params, host, &report);

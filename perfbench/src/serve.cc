@@ -1,28 +1,37 @@
 #include "serve.h"
 
+#include <algorithm>
+
 namespace kgbench {
 
-ServePlan ServePlan::FromParams(const Params& params,
-                                std::vector<std::string> class_names) {
-  ServePlan plan;
-  plan.class_names = std::move(class_names);
-  plan.ref_rate = params.Num("ref_rate");
-  plan.warmup_s = params.Num("warmup_s");
-  plan.abandon_late_s = params.Num("abandon_late_s");
-  plan.threads = static_cast<int>(params.Size("client_threads"));
-  plan.ref_s = params.seconds;
-  plan.sat_ops = params.Size("sat_ops");
-  return plan;
+double ServePlan::rate() const {
+  double r = 0;
+  for (const Stream& st : streams) r += st.rate;
+  return r;
 }
 
-ServeSchedules MakeSchedules(const ServePlan& plan, Rng* rng,
-                             const std::function<void(Op*)>& pick,
-                             const std::function<void(Op*)>& sat_pick) {
+namespace {
+std::vector<Op> OpenLoop(const ServePlan& plan, double duration_s, Rng* rng) {
+  std::vector<Op> ops;
+  for (const Stream& st : plan.streams) {
+    const std::vector<Op> part = Schedule(st.rate, duration_s, rng, st.pick);
+    ops.insert(ops.end(), part.begin(), part.end());
+  }
+  // Stable, so each stream keeps its own draw order (serve-rw's updates
+  // alternate insert and delete in due order).
+  std::stable_sort(ops.begin(), ops.end(), [](const Op& a, const Op& b) {
+    return a.due_ns < b.due_ns;
+  });
+  return ops;
+}
+}  // namespace
+
+ServeSchedules MakeSchedules(const ServePlan& plan, Rng* rng) {
   ServeSchedules s;
-  s.warmup = Schedule(plan.ref_rate, plan.warmup_s, rng, pick);
-  s.reference = Schedule(plan.ref_rate, plan.ref_s, rng, pick);
+  s.warmup = OpenLoop(plan, kWarmupS, rng);
+  s.reference = OpenLoop(plan, plan.ref_s, rng);
   s.saturation.resize(plan.sat_ops);
-  for (Op& op : s.saturation) sat_pick(&op);
+  for (Op& op : s.saturation) plan.sat_pick(&op);
   return s;
 }
 
@@ -30,17 +39,31 @@ ServeOutcome RunServe(const ServePlan& plan, const ServeSchedules& sched,
                       const Executor& exec) {
   ServeOutcome out;
   const size_t nc = plan.class_names.size();
-  out.warmup = RunPhase("warmup", plan.ref_rate, plan.warmup_s, sched.warmup,
-                        nc, plan.threads, exec, plan.abandon_late_s);
-  out.reference = RunPhase("reference", plan.ref_rate, plan.ref_s,
-                           sched.reference, nc, plan.threads, exec,
-                           plan.abandon_late_s);
-  out.saturation = RunClosedPhase("saturation", sched.saturation, nc,
-                                  plan.threads, exec);
+  out.warmup = RunPhase("warmup", plan.rate(), kWarmupS, sched.warmup,
+                        nc, kClientThreads, exec, kAbandonLateS);
+  out.reference = RunPhase("reference", plan.rate(), plan.ref_s,
+                           sched.reference, nc, kClientThreads, exec,
+                           kAbandonLateS);
+  const size_t rounds = kSatRounds;
+  for (size_t r = 0; r < rounds; ++r) {
+    const auto first = sched.saturation.begin();
+    const std::vector<Op> part(first + sched.saturation.size() * r / rounds,
+                               first + sched.saturation.size() * (r + 1) /
+                                           rounds);
+    out.saturation.push_back(
+        RunClosedPhase("saturation-" + std::to_string(r + 1), part, nc,
+                       kClientThreads, exec));
+  }
   return out;
 }
 
-void CheckFailureAccounting(std::initializer_list<const PhaseStats*> phases,
+std::vector<const PhaseStats*> ServeOutcome::phases() const {
+  std::vector<const PhaseStats*> out = {&warmup, &reference};
+  for (const PhaseStats& p : saturation) out.push_back(&p);
+  return out;
+}
+
+void CheckFailureAccounting(const std::vector<const PhaseStats*>& phases,
                             const kgnet::serving::KgServer::Stats& before,
                             const kgnet::serving::KgServer::Stats& after,
                             Report* report) {
@@ -57,18 +80,31 @@ void CheckFailureAccounting(std::initializer_list<const PhaseStats*> phases,
                  std::to_string(server) + ")");
 }
 
+void CheckSent(const PhaseStats& p, Report* report) {
+  if (p.abandoned)
+    report->Fail("phase " + p.name +
+                 " fell behind past the abandon limit and left " +
+                 std::to_string(p.all.unsent) + " operations unsent");
+}
+
+void CountPhase(const PhaseStats& p, Report* report) {
+  CheckSent(p, report);
+  report->CountOps(p.all.sent + p.all.unsent, p.all.failed + p.all.refused +
+                                                  p.all.wrong + p.all.unsent);
+}
+
 void ReportServe(const ServePlan& plan, const ServeOutcome& out,
                  Report* report) {
-  report->Info("phases", "[" + PhaseJson(out.warmup, plan.class_names) + "," +
-                             PhaseJson(out.reference, plan.class_names) +
-                             "," +
-                             PhaseJson(out.saturation, plan.class_names) +
-                             "]");
-  for (const PhaseStats* p : {&out.warmup, &out.reference, &out.saturation})
-    report->CountOps(p->all.sent,
-                     p->all.failed + p->all.refused + p->all.wrong);
+  std::string phases;
+  std::vector<double> rps;
+  for (const PhaseStats* p : out.phases()) {
+    phases += (phases.empty() ? "" : ",") + PhaseJson(*p, plan.class_names);
+    CountPhase(*p, report);
+  }
+  for (const PhaseStats& p : out.saturation) rps.push_back(p.achieved_rps);
+  report->Info("phases", "[" + phases + "]");
   report->Metric("p50_ms", ClassMedianGeoMeanMs(out.reference), "ms");
-  report->Metric("throughput", out.saturation.achieved_rps, "1/s");
+  report->Metric("throughput", Median(rps), "1/s");
 }
 
 }  // namespace kgbench

@@ -8,7 +8,6 @@
 #define KGBENCH_SERVE_H_
 
 #include <functional>
-#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -18,18 +17,32 @@
 
 namespace kgbench {
 
+// Shared by both serve workloads.
+constexpr double kWarmupS = 0.5;
+// An open-loop phase that falls this far behind its schedule stops
+// sending (a correctness miss, see CheckSent).
+constexpr double kAbandonLateS = 3;
+// Client threads and loopback connections: nproc of the development host.
+constexpr int kClientThreads = 4;
+// The saturation phase runs in this many closed-loop rounds.
+constexpr size_t kSatRounds = 8;
+
+/// One open-loop arrival stream: `rate` operations per second, each
+/// drawn by `pick` in arrival order.
+struct Stream {
+  double rate = 0;
+  std::function<void(Op*)> pick;
+};
+
 struct ServePlan {
   std::vector<std::string> class_names;
-  double ref_rate = 0;
-  double warmup_s = 0;
-  double ref_s = 0;     // = --seconds
-  size_t sat_ops = 0;   // operations of the saturation phase
-  double abandon_late_s = 0;
-  int threads = 0;
+  std::vector<Stream> streams;  // the reference mix, merged by due time
+  double ref_s = 0;             // = --seconds
+  size_t sat_ops = 0;           // operations of the saturation phase
+  std::function<void(Op*)> sat_pick;
 
-  /// Reads the frozen values; the reference phase lasts --seconds.
-  static ServePlan FromParams(const Params& params,
-                              std::vector<std::string> class_names);
+  /// Offered rate of the open-loop phases: the streams' rates summed.
+  double rate() const;
 };
 
 /// Pre-generated operations of one run: the same seed yields the same
@@ -39,22 +52,20 @@ struct ServeSchedules {
   std::vector<Op> reference;
   std::vector<Op> saturation;
 };
-/// `sat_pick` draws the saturation operations (serve-rw saturates with
-/// reads only; see serve_rw.cc).
-ServeSchedules MakeSchedules(const ServePlan& plan, Rng* rng,
-                             const std::function<void(Op*)>& pick,
-                             const std::function<void(Op*)>& sat_pick);
+ServeSchedules MakeSchedules(const ServePlan& plan, Rng* rng);
 
 struct ServeOutcome {
   PhaseStats warmup;
   PhaseStats reference;
-  PhaseStats saturation;
+  std::vector<PhaseStats> saturation;  // one per round
+
+  std::vector<const PhaseStats*> phases() const;
 };
 
 /// Client-seen failed and refused operations over `phases` must equal the
 /// server's error_responses delta over the same span; a mismatch is a
 /// correctness miss (a failure one side did not see).
-void CheckFailureAccounting(std::initializer_list<const PhaseStats*> phases,
+void CheckFailureAccounting(const std::vector<const PhaseStats*>& phases,
                             const kgnet::serving::KgServer::Stats& before,
                             const kgnet::serving::KgServer::Stats& after,
                             Report* report);
@@ -62,8 +73,20 @@ void CheckFailureAccounting(std::initializer_list<const PhaseStats*> phases,
 ServeOutcome RunServe(const ServePlan& plan, const ServeSchedules& sched,
                       const Executor& exec);
 
+/// A phase that fell more than kAbandonLateS behind stopped sending; the
+/// load it never sent carries no latency (coordinated omission), so an
+/// abandoned phase is a correctness miss.
+void CheckSent(const PhaseStats& p, Report* report);
+
+/// CheckSent, then counts the phase into the result line: every scheduled
+/// operation is attempted, and a failed, refused, wrong or unsent one
+/// failed.
+void CountPhase(const PhaseStats& p, Report* report);
+
 /// Adds the per-phase accounting (info line), the attempted / failed
-/// counts and the end-to-end p50_ms and throughput metrics.
+/// counts and the end-to-end p50_ms and throughput metrics. Throughput is
+/// the median over the saturation rounds, so a host stall that spans a
+/// few rounds does not move it.
 void ReportServe(const ServePlan& plan, const ServeOutcome& out,
                  Report* report);
 

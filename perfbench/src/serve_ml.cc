@@ -39,11 +39,21 @@ constexpr char kPrefixes[] =
     "PREFIX dblp: <https://dblp.org/rdf/>\n"
     "PREFIX kgnet: <https://www.kgnet.com/>\n";
 
+// The workload's frozen parameters (perfbench/README.md gives the reasons).
+constexpr size_t kPapers = 4000;
+constexpr size_t kSetupReps = 3;  // setup_s is the median
+constexpr size_t kNcEpochs = 6;
+constexpr size_t kLpEpochs = 6;
+constexpr double kZipfS = 0.99;
+constexpr size_t kTopK = 10;      // infer_links / infer_similar top-k
+constexpr size_t kNcLimit = 50;   // LIMIT of the NC SPARQL-ML query
+constexpr double kRefRate = 300;  // requests/s of the reference phase
+constexpr size_t kSatOps = 16000;
+// Shares of the mix, in MlClass order.
+constexpr double kShares[5] = {0.35, 0.25, 0.3, 0.05, 0.05};
+
 struct Shape {
   size_t papers = 0, authors = 0, venues = 0;
-  size_t k = 0;         // infer_links / infer_similar top-k
-  size_t nc_limit = 0;  // LIMIT of the NC SPARQL-ML query
-  double shares[5] = {0, 0, 0, 0, 0};
   std::string nc_model, lp_model;
 };
 
@@ -54,7 +64,7 @@ std::string PersonIri(size_t i) {
   return "https://dblp.org/rdf/person/" + std::to_string(i);
 }
 
-std::string SparqlMlText(const Shape& s, const Op& op) {
+std::string SparqlMlText(const Op& op) {
   if (op.cls == kSparqlNc)
     return std::string(kPrefixes) +
            "SELECT ?paper ?venue WHERE {\n"
@@ -66,7 +76,7 @@ std::string SparqlMlText(const Shape& s, const Op& op) {
            "  ?NodeClassifier kgnet:TargetNode dblp:Publication .\n"
            "  ?NodeClassifier kgnet:NodeLabel dblp:publishedIn .\n"
            "} LIMIT " +
-           std::to_string(s.nc_limit);
+           std::to_string(kNcLimit);
   return std::string(kPrefixes) +
          "SELECT ?author ?affiliation WHERE {\n"
          "  ?author dblp:name \"Author " +
@@ -126,16 +136,16 @@ OpStatus ExecLoopback(MlState* st, int t, const Op& op, int64_t rid) {
       return Check(st, client.NodeClass(s.nc_model, PaperIri(op.arg)),
                    e.cls.at(op.arg), "infer_class " + std::to_string(op.arg));
     case kLinks:
-      return Check(st, client.TopKLinks(s.lp_model, PersonIri(op.arg), s.k),
+      return Check(st, client.TopKLinks(s.lp_model, PersonIri(op.arg), kTopK),
                    e.links.at(op.arg),
                    "infer_links " + std::to_string(op.arg));
     case kSimilar:
       return Check(st,
-                   client.SimilarEntities(s.lp_model, PersonIri(op.arg), s.k),
+                   client.SimilarEntities(s.lp_model, PersonIri(op.arg), kTopK),
                    e.similar.at(op.arg),
                    "infer_similar " + std::to_string(op.arg));
     default: {
-      auto r = client.Query(SparqlMlText(s, op));
+      auto r = client.Query(SparqlMlText(op));
       if (!r.ok())
         return IsRefusal(r.status()) ? OpStatus::kRefused : OpStatus::kFailed;
       const QueryResult& want = e.sparqlml.at({op.cls, op.arg});
@@ -174,10 +184,11 @@ struct Replay {
     const Shape& s = *shape;
     kgnet::core::InferenceManager& im = kg->service().inference_manager();
     if (op.cls == kSparqlNc || op.cls == kSparqlLp) {
-      const std::string text = SparqlMlText(s, op);
+      const std::string text = SparqlMlText(op);
       std::unique_lock<std::mutex> lock(service_mu, std::defer_lock);
       {
-        ScopedSpan x(sp, "serving.serialized_path_wait", "serving", rid);
+        // Waiting on the benchmark's own mutex: not layer time.
+        ScopedSpan x(sp, "bench.serialized_path_wait", "bench", rid);
         lock.lock();
       }
       // The optimizer's stages, called one by one for their timings
@@ -234,7 +245,7 @@ struct Replay {
       ok = batcher->NodeClass(s.nc_model, PaperIri(op.arg)).ok();
     } else if (op.cls == kLinks) {
       ScopedSpan x(sp, "serving.InferBatcher.TopKLinks", "serving", rid);
-      ok = batcher->TopKLinks(s.lp_model, PersonIri(op.arg), s.k).ok();
+      ok = batcher->TopKLinks(s.lp_model, PersonIri(op.arg), kTopK).ok();
     } else {
       const std::string node = PersonIri(op.arg);
       std::optional<std::vector<float>> row;
@@ -256,7 +267,7 @@ struct Replay {
       }
       ScopedSpan x(sp, "core.GetSimilarByRow", "core", rid);
       ok = row.has_value() &&
-           im.GetSimilarByRow(s.lp_model, node, *row, s.k).ok();
+           im.GetSimilarByRow(s.lp_model, node, *row, kTopK).ok();
     }
     if (!ok) ++a.failures;
     return ok ? OpStatus::kOk : OpStatus::kFailed;
@@ -293,60 +304,58 @@ kgnet::core::TrainTaskSpec MakeLpSpec(size_t epochs, uint64_t seed) {
 void RunServeMl(const Params& params, const HostFacts& host,
                 Report* report) {
   Shape s;
-  s.papers = params.Size("papers");
+  s.papers = kPapers;
   const kgnet::workload::DblpOptions gen =
       DblpAt(s.papers, SubSeed(params.seed, "graph"));
   s.authors = gen.num_authors;
   s.venues = gen.num_venues;
-  s.k = params.Size("top_k");
-  s.nc_limit = params.Size("nc_limit");
-  for (size_t c = 0; c < kMlClasses.size(); ++c)
-    s.shares[c] = params.Num("share." + kMlClasses[c]);
-  const double zipf_s = params.Num("zipf_s");
   LayerValues layer;
   AddHostFacts(host, params.trace ? &layer : nullptr, report);
 
-  // ---- set-up: load + compact (median of reps), then train NC and LP ----
+  // ---- set-up, kSetupReps times on a fresh platform each: load +
+  // compact, then train NC and LP; the last platform serves ----
   const std::string doc = GenerateNTriples(gen);
+  const uint64_t train_seed = SubSeed(params.seed, "train") % 1000003;
   std::vector<double> setup, load, compact;
   std::unique_ptr<KgNet> kg;
-  for (size_t i = 0; i < params.Size("setup_reps"); ++i) {
+  kgnet::Result<kgnet::core::TrainOutcome> nc = kgnet::Status::Internal("");
+  kgnet::Result<kgnet::core::TrainOutcome> lp = kgnet::Status::Internal("");
+  double nc_wall = 0, lp_wall = 0;
+  for (size_t i = 0; i < kSetupReps; ++i) {
     kg.reset();
     double l = 0, c = 0;
     kg = LoadPlatform(doc, &l, &c);
     load.push_back(l);
     compact.push_back(c);
-    setup.push_back(l + c);
+    int64_t t0 = NowNs();
+    nc = kg->TrainTask(MakeNcSpec(kNcEpochs, train_seed));
+    nc_wall = (NowNs() - t0) / 1e9;
+    t0 = NowNs();
+    lp = kg->TrainTask(MakeLpSpec(kLpEpochs, train_seed));
+    lp_wall = (NowNs() - t0) / 1e9;
+    if (!nc.ok() || !lp.ok()) {
+      report->Fail("set-up training failed: " +
+                   (nc.ok() ? lp.status() : nc.status()).ToString());
+      return;
+    }
+    setup.push_back(l + c + nc_wall + lp_wall);
   }
   const auto store_stats = kg->store().GetStats();
   report->Info("triples", std::to_string(store_stats.num_triples));
-  const uint64_t train_seed = SubSeed(params.seed, "train") % 1000003;
-  int64_t t0 = NowNs();
-  auto nc = kg->TrainTask(MakeNcSpec(params.Size("nc_epochs"), train_seed));
-  const double nc_wall = (NowNs() - t0) / 1e9;
-  t0 = NowNs();
-  auto lp = kg->TrainTask(MakeLpSpec(params.Size("lp_epochs"), train_seed));
-  const double lp_wall = (NowNs() - t0) / 1e9;
-  if (!nc.ok() || !lp.ok()) {
-    report->Fail("set-up training failed: " +
-                 (nc.ok() ? lp.status() : nc.status()).ToString());
-    return;
-  }
   s.nc_model = nc->model_uri;
   s.lp_model = lp->model_uri;
   report->Info("models", "{\"nc\":" + JsonString(nc->report.method) +
                              ",\"lp\":" + JsonString(lp->report.method) + "}");
 
   // ---- schedules ----
-  const ServePlan plan = ServePlan::FromParams(params, kMlClasses);
   Rng rng(SubSeed(params.seed, "serve-ml-ops"));
-  const Zipf paper_z(s.papers, zipf_s, SubSeed(params.seed, "z-paper"));
-  const Zipf person_z(s.authors, zipf_s, SubSeed(params.seed, "z-person"));
-  const Zipf venue_z(s.venues, zipf_s, SubSeed(params.seed, "z-venue"));
+  const Zipf paper_z(s.papers, kZipfS, SubSeed(params.seed, "z-paper"));
+  const Zipf person_z(s.authors, kZipfS, SubSeed(params.seed, "z-person"));
+  const Zipf venue_z(s.venues, kZipfS, SubSeed(params.seed, "z-venue"));
   auto pick = [&](Op* op) {
     double u = rng.Uniform();
     int c = 0;
-    while (c < 4 && u >= s.shares[c]) u -= s.shares[c++];
+    while (c < 4 && u >= kShares[c]) u -= kShares[c++];
     op->cls = c;
     if (c == kClass)
       op->arg = static_cast<uint32_t>(paper_z.Sample(&rng));
@@ -355,7 +364,13 @@ void RunServeMl(const Params& params, const HostFacts& host,
     else
       op->arg = static_cast<uint32_t>(person_z.Sample(&rng));
   };
-  const ServeSchedules sched = MakeSchedules(plan, &rng, pick, pick);
+  ServePlan plan;
+  plan.class_names = kMlClasses;
+  plan.streams = {{kRefRate, pick}};
+  plan.ref_s = params.seconds;
+  plan.sat_ops = kSatOps;
+  plan.sat_pick = pick;
+  const ServeSchedules sched = MakeSchedules(plan, &rng);
 
   // ---- expected answers ----
   Expected expected;
@@ -371,16 +386,16 @@ void RunServeMl(const Params& params, const HostFacts& host,
           ok = ok && r.ok();
           expected.cls[op.arg] = r.value_or("");
         } else if (op.cls == kLinks && !expected.links.count(op.arg)) {
-          auto r = im.GetTopKLinks(s.lp_model, PersonIri(op.arg), s.k);
+          auto r = im.GetTopKLinks(s.lp_model, PersonIri(op.arg), kTopK);
           ok = ok && r.ok();
           expected.links[op.arg] = r.value_or({});
         } else if (op.cls == kSimilar && !expected.similar.count(op.arg)) {
-          auto r = im.GetSimilarEntities(s.lp_model, PersonIri(op.arg), s.k);
+          auto r = im.GetSimilarEntities(s.lp_model, PersonIri(op.arg), kTopK);
           ok = ok && r.ok();
           expected.similar[op.arg] = r.value_or({});
         } else if ((op.cls == kSparqlNc || op.cls == kSparqlLp) &&
                    !expected.sparqlml.count({op.cls, op.arg})) {
-          auto r = kg->service().Execute(SparqlMlText(s, op));
+          auto r = kg->service().Execute(SparqlMlText(op));
           ok = ok && r.ok();
           expected.sparqlml[{op.cls, op.arg}] =
               r.ok() ? std::move(*r) : QueryResult();
@@ -394,7 +409,7 @@ void RunServeMl(const Params& params, const HostFacts& host,
     for (int c : {kSparqlNc, kSparqlLp}) {
       Op op;
       op.cls = c;
-      auto ex = kg->service().Explain(SparqlMlText(s, op));
+      auto ex = kg->service().Explain(SparqlMlText(op));
       if (c == kSparqlLp) plans += ",";
       plans += JsonString(kMlClasses[c]) + ":" +
                JsonString(!ex.ok() ? "error"
@@ -414,7 +429,8 @@ void RunServeMl(const Params& params, const HostFacts& host,
   MlState st;
   st.shape = &s;
   st.expected = &expected;
-  if (!ConnectClients(server.port(), plan.threads, &st.clients)) std::exit(1);
+  if (!ConnectClients(server.port(), kClientThreads, &st.clients)) std::exit(1);
+  report->Info("placement", JsonString(SplitPlacement()));
   const Executor exec = [&](int t, const Op& op, int64_t rid) {
     return ExecLoopback(&st, t, op, rid);
   };
@@ -422,17 +438,18 @@ void RunServeMl(const Params& params, const HostFacts& host,
   if (!params.trace) {
     const auto stats0 = server.stats();
     const ServeOutcome out = RunServe(plan, sched, exec);
-    CheckFailureAccounting({&out.warmup, &out.reference, &out.saturation},
-                           stats0, server.stats(), report);
+    CheckFailureAccounting(out.phases(), stats0, server.stats(), report);
     ReportServe(plan, out, report);
-    report->Metric("setup_s", Median(setup) + nc_wall + lp_wall, "s");
+    report->Metric("setup_s", Median(setup), "s");
     report->Metric("rss_peak_mb", PeakRssMb(), "MB");
   } else {
     const size_t ncls = kMlClasses.size();
-    RunPhase("warmup", plan.ref_rate, plan.warmup_s, sched.warmup, ncls,
-             plan.threads, exec, plan.abandon_late_s);
+    const auto stats_warm = server.stats();
+    const PhaseStats warm =
+        RunPhase("warmup", plan.rate(), kWarmupS, sched.warmup, ncls,
+                 kClientThreads, exec, kAbandonLateS);
     Tracer loop_tracer;
-    for (int t = 0; t < plan.threads; ++t)
+    for (int t = 0; t < kClientThreads; ++t)
       st.spans.push_back(loop_tracer.NewThread());
     kgnet::core::InferenceManager& im = kg->service().inference_manager();
     const auto stats0 = server.stats();
@@ -442,21 +459,22 @@ void RunServeMl(const Params& params, const HostFacts& host,
     const uint64_t misses0 = server.embed_cache().misses();
     std::vector<OpResult> traced_results;
     const PhaseStats traced =
-        RunPhase("reference", plan.ref_rate, plan.ref_s, sched.reference,
-                 ncls, plan.threads, exec, plan.abandon_late_s,
+        RunPhase("reference", plan.rate(), plan.ref_s, sched.reference,
+                 ncls, kClientThreads, exec, kAbandonLateS,
                  &traced_results);
     const auto stats1 = server.stats();
     st.spans.clear();
-    report->Info("phases", "[" + PhaseJson(traced, kMlClasses) + "]");
-    report->CountOps(traced.all.sent,
-                     traced.all.failed + traced.all.refused + traced.all.wrong);
+    report->Info("phases", "[" + PhaseJson(warm, kMlClasses) + "," +
+                               PhaseJson(traced, kMlClasses) + "]");
+    CountPhase(warm, report);
+    CountPhase(traced, report);
     layer["serving.error_responses"] =
         static_cast<double>(stats1.error_responses - stats0.error_responses);
     layer["serving.overload_rejects"] =
         static_cast<double>(stats1.overload_rejects - stats0.overload_rejects);
     layer["serving.rid_replays"] =
         static_cast<double>(stats1.rid_replays - stats0.rid_replays);
-    CheckFailureAccounting({&traced}, stats0, stats1, report);
+    CheckFailureAccounting({&warm, &traced}, stats_warm, stats1, report);
     const uint64_t batched =
         server.batcher().batched_calls() - batched0;
     const uint64_t via_batcher =
@@ -504,19 +522,23 @@ void RunServeMl(const Params& params, const HostFacts& host,
     replay.batcher = &batcher;
     replay.cache = &cache;
     Tracer replay_tracer;
-    for (int t = 0; t < plan.threads; ++t)
+    for (int t = 0; t < kClientThreads; ++t)
       replay.spans.push_back(replay_tracer.NewThread());
-    replay.acc.resize(static_cast<size_t>(plan.threads));
-    replay.warm_acc.resize(static_cast<size_t>(plan.threads));
+    replay.acc.resize(static_cast<size_t>(kClientThreads));
+    replay.warm_acc.resize(static_cast<size_t>(kClientThreads));
     const Executor replay_exec = [&](int t, const Op& op, int64_t rid) {
       return replay.Exec(t, op, rid);
     };
-    RunPhase("replay-warmup", plan.ref_rate, plan.warmup_s, sched.warmup,
-             ncls, plan.threads, replay_exec, plan.abandon_late_s);
+    CheckSent(RunPhase("replay-warmup", plan.rate(), kWarmupS,
+                       sched.warmup, ncls, kClientThreads, replay_exec,
+                       kAbandonLateS),
+              report);
     replay.recording = true;
-    RunPhase("replay", plan.ref_rate, plan.ref_s, sched.reference, ncls,
-             plan.threads, replay_exec, plan.abandon_late_s);
+    CheckSent(RunPhase("replay", plan.rate(), plan.ref_s, sched.reference,
+                       ncls, kClientThreads, replay_exec, kAbandonLateS),
+              report);
     ReplayAcc sum;
+    for (const ReplayAcc& a : replay.warm_acc) sum.failures += a.failures;
     for (const ReplayAcc& a : replay.acc) {
       sum.analyze_ns += a.analyze_ns;
       sum.select_ns += a.select_ns;
@@ -546,9 +568,9 @@ void RunServeMl(const Params& params, const HostFacts& host,
       if (op.cls == kClass)
         (void)im.GetNodeClass(s.nc_model, PaperIri(op.arg));
       else if (op.cls == kLinks)
-        (void)im.GetTopKLinks(s.lp_model, PersonIri(op.arg), s.k);
+        (void)im.GetTopKLinks(s.lp_model, PersonIri(op.arg), kTopK);
       else
-        (void)im.GetSimilarEntities(s.lp_model, PersonIri(op.arg), s.k);
+        (void)im.GetSimilarEntities(s.lp_model, PersonIri(op.arg), kTopK);
       ns[op.cls] += NowNs() - a;
       ++cnt[op.cls];
     }

@@ -4,7 +4,8 @@
 // venue-bound star3 joins and affiliation-bound chain2 joins; updates
 // alternate an INSERT DATA of a fresh batch of new papers with a DELETE of
 // the oldest live batch, so the store keeps its size while the delta log
-// crosses the compaction trigger, max(4096, generation/4), again and again.
+// grows toward the compaction trigger, max(4096, generation/4); the traced
+// replay's update drive carries it across.
 #include <algorithm>
 #include <atomic>
 #include <functional>
@@ -27,27 +28,49 @@ using kgnet::serving::KgClient;
 using kgnet::serving::KgServer;
 using kgnet::sparql::QueryResult;
 
-enum RwClass { kPoint, kStar3, kChain2, kUpdate };
+// Inserts and deletes are classes of their own: their latencies differ,
+// and one median over a half-and-half mix of the two lands on the
+// boundary between them.
+enum RwClass { kPoint, kStar3, kChain2, kInsert, kDelete };
 const std::vector<std::string> kRwClasses = {"point", "star3", "chain2",
-                                             "update"};
+                                             "insert", "delete"};
+bool IsUpdate(int cls) { return cls == kInsert || cls == kDelete; }
 const char* const kPointPreds[] = {"publishedIn", "authoredBy", "cites",
                                    "title", "yearOfPublication"};
 constexpr uint32_t kNumPointPreds = 5;
 const char* const kClientSpan[] = {"client.point", "client.star3",
-                                   "client.chain2", "client.update"};
+                                   "client.chain2", "client.insert",
+                                   "client.delete"};
 const char* const kReplaySpan[] = {"replay.point", "replay.star3",
-                                   "replay.chain2", "replay.update"};
+                                   "replay.chain2", "replay.insert",
+                                   "replay.delete"};
 const char* const kExecSpan[] = {"sparql.Execute.point",
                                  "sparql.Execute.star3",
                                  "sparql.Execute.chain2"};
 
+// The workload's frozen parameters (perfbench/README.md gives the reasons).
+constexpr size_t kPapers = 20000;
+constexpr size_t kSetupReps = 5;  // setup_s is the median
+constexpr double kZipfS = 0.99;
+// The reference mix: two open-loop streams. Reads at a rate that gives
+// every class median hundreds of samples; updates at a rate the write
+// path sustains at a full log (about 10/s), alternating insert and delete.
+constexpr double kReadRate = 400;
+constexpr double kUpdateRate = 4;
+// Shares of the reads; the rest are chain2.
+constexpr double kSharePoint = 0.75;
+constexpr double kShareStar3 = 0.125;
+constexpr size_t kLimit = 200;        // join LIMIT
+constexpr size_t kBatchPapers = 100;  // new papers per update batch
+constexpr size_t kBatchTriples = kBatchPapers * 5;
+constexpr size_t kWindow = 8;         // live batches
+constexpr size_t kSatOps = 24000;     // reads of the saturation phase
+// Updates the traced replay sends closed loop after the reference
+// operations: enough to carry the log across the compaction trigger.
+constexpr size_t kDriveUpdates = 320;
+
 struct Shape {
   size_t papers = 0, authors = 0, venues = 0, affiliations = 0;
-  size_t limit = 0;         // join LIMIT
-  size_t batch_papers = 0;  // new papers per update batch, 5 triples each
-  size_t window = 0;        // live batches
-  double zipf_s = 0;
-  double share_point = 0, share_star3 = 0, share_chain2 = 0;  // rest: update
   uint64_t seed = 0;
 };
 
@@ -59,7 +82,7 @@ std::string Pred(const char* name) {
   return "<https://dblp.org/rdf/" + std::string(name) + ">";
 }
 
-std::string ReadText(const Shape& s, const Op& op) {
+std::string ReadText(const Op& op) {
   switch (op.cls) {
     case kPoint:
       return "SELECT ?o WHERE { " +
@@ -69,21 +92,21 @@ std::string ReadText(const Shape& s, const Op& op) {
       return "SELECT ?p ?a ?t WHERE { ?p " + Pred("publishedIn") + " " +
              Iri("venue", op.arg) + " . ?p " + Pred("authoredBy") +
              " ?a . ?p " + Pred("title") + " ?t . } LIMIT " +
-             std::to_string(s.limit);
+             std::to_string(kLimit);
     default:
       return "SELECT ?p ?a WHERE { ?a " + Pred("primaryAffiliation") + " " +
              Iri("affiliation", op.arg) + " . ?p " + Pred("authoredBy") +
-             " ?a . } LIMIT " + std::to_string(s.limit);
+             " ?a . } LIMIT " + std::to_string(kLimit);
   }
 }
 
-/// The ground triples of update batch `k`: batch_papers new papers, each
+/// The ground triples of update batch `k`: kBatchPapers new papers, each
 /// typed, placed in a venue, authored by and citing existing nodes.
 std::string BatchTriples(const Shape& s, size_t k) {
   Rng rng(SubSeed(s.seed, "batch-" + std::to_string(k)));
   std::string out;
   const std::string type = "<" + std::string(kgnet::rdf::kRdfType) + ">";
-  for (size_t j = 0; j < s.batch_papers; ++j) {
+  for (size_t j = 0; j < kBatchPapers; ++j) {
     const std::string p = "<https://dblp.org/rdf/publication/new-" +
                           std::to_string(k) + "-" + std::to_string(j) + ">";
     out += p + " " + type + " " + Pred("Publication") + " .\n";
@@ -114,17 +137,17 @@ struct Expected {
   std::vector<std::string> chain2_cols = {"p", "a"};
 };
 
-void ComputeExpected(const Shape& s, KgNet* kg,
+void ComputeExpected(KgNet* kg,
                      const std::vector<const std::vector<Op>*>& schedules,
                      Expected* exp) {
   auto& engine = kg->service().engine();
   const kgnet::rdf::Snapshot snap = kg->store().OpenSnapshot();
   for (const std::vector<Op>* sched : schedules)
     for (const Op& op : *sched) {
-      if (op.cls == kUpdate) continue;
+      if (IsUpdate(op.cls)) continue;
       if (op.cls == kPoint && exp->point.count(op.arg)) continue;
       if (op.cls != kPoint && exp->join_rows.count({op.cls, op.arg})) continue;
-      auto q = kgnet::sparql::ParseQuery(ReadText(s, op));
+      auto q = kgnet::sparql::ParseQuery(ReadText(op));
       auto r = q.ok() ? engine.Execute(*q, snap)
                       : kgnet::Result<QueryResult>(q.status());
       if (!r.ok()) {
@@ -166,14 +189,14 @@ OpStatus ExecLoopback(RwState* st, int t, const Op& op, int64_t rid) {
   KgClient& client = *st->clients[static_cast<size_t>(t)];
   ScopedSpan span(st->spans.empty() ? nullptr : st->spans[t],
                   kClientSpan[op.cls], "loopback", rid);
-  if (op.cls == kUpdate) {
+  if (IsUpdate(op.cls)) {
     const size_t k = op.arg >> 1;
     const bool del = op.arg & 1;
     const bool insert_acked = k < st->num_batches && st->inserted[k].load();
     auto r = client.Query(UpdateText(s, op.arg));
     if (!r.ok())
       return IsRefusal(r.status()) ? OpStatus::kRefused : OpStatus::kFailed;
-    const size_t batch = s.batch_papers * 5;
+    const size_t batch = kBatchTriples;
     if (!del) {
       st->acked_inserts += r->result.num_inserted;
       if (k < st->num_batches) st->inserted[k].store(1);
@@ -188,7 +211,7 @@ OpStatus ExecLoopback(RwState* st, int t, const Op& op, int64_t rid) {
     }
     return OpStatus::kOk;
   }
-  auto r = client.Query(ReadText(s, op));
+  auto r = client.Query(ReadText(op));
   if (!r.ok())
     return IsRefusal(r.status()) ? OpStatus::kRefused : OpStatus::kFailed;
   const QueryResult& got = r->result;
@@ -202,9 +225,9 @@ OpStatus ExecLoopback(RwState* st, int t, const Op& op, int64_t rid) {
   const auto& cols =
       op.cls == kStar3 ? st->expected->star3_cols : st->expected->chain2_cols;
   const size_t want = st->expected->join_rows.at({op.cls, op.arg});
-  const bool rows_ok = want >= s.limit ? got.rows.size() == s.limit
-                                       : got.rows.size() >= want &&
-                                             got.rows.size() <= s.limit;
+  const bool rows_ok = want >= kLimit ? got.rows.size() == kLimit
+                                      : got.rows.size() >= want &&
+                                            got.rows.size() <= kLimit;
   if (got.columns != cols || !rows_ok)
     return st->Miss(kRwClasses[op.cls] + " " + std::to_string(op.arg) +
                     " returned " + std::to_string(got.rows.size()) +
@@ -234,25 +257,26 @@ struct Replay {
   std::vector<ThreadSpans*> spans;
   std::vector<ReplayAcc> acc;
   /// Warm-up ops are replayed unrecorded; the reference ops are traced;
-  /// the saturation ops only feed the compaction facts.
-  enum class Mode { kWarmup, kReference, kSaturation };
+  /// the update drive only feeds the compaction facts.
+  enum class Mode { kWarmup, kReference, kUpdateDrive };
   Mode mode = Mode::kWarmup;
-  std::vector<ReplayAcc> warm_acc, sat_acc;
+  std::vector<ReplayAcc> warm_acc, drive_acc;
 
   OpStatus Exec(int t, const Op& op, int64_t rid) {
     const bool traced = mode == Mode::kReference;
     ThreadSpans* sp = traced ? spans[static_cast<size_t>(t)] : nullptr;
     std::vector<ReplayAcc>& accs = traced ? acc
-                                   : mode == Mode::kSaturation ? sat_acc
+                                   : mode == Mode::kUpdateDrive ? drive_acc
                                                                : warm_acc;
     ReplayAcc& a = accs[static_cast<size_t>(t)];
-    const std::string text = op.cls == kUpdate ? UpdateText(*shape, op.arg)
-                                               : ReadText(*shape, op);
+    const std::string text = IsUpdate(op.cls) ? UpdateText(*shape, op.arg)
+                                               : ReadText(op);
     ScopedSpan root(sp, kReplaySpan[op.cls], "bench", rid);
-    if (op.cls == kUpdate) {
+    if (IsUpdate(op.cls)) {
       std::unique_lock<std::mutex> lock(service_mu, std::defer_lock);
       {
-        ScopedSpan s(sp, "serving.serialized_path_wait", "serving", rid);
+        // Waiting on the benchmark's own mutex: not layer time.
+        ScopedSpan s(sp, "bench.serialized_path_wait", "bench", rid);
         lock.lock();
       }
       const int64_t t0 = NowNs();
@@ -334,10 +358,10 @@ struct Replay {
 };
 
 void PreInsertWindow(const Shape& s, KgNet* kg) {
-  for (size_t k = 0; k < s.window; ++k) {
+  for (size_t k = 0; k < kWindow; ++k) {
     auto r =
         kg->service().Execute(UpdateText(s, static_cast<uint32_t>(k << 1)));
-    if (!r.ok() || r->num_inserted != s.batch_papers * 5) {
+    if (!r.ok() || r->num_inserted != kBatchTriples) {
       std::fprintf(stderr, "kgbench: pre-inserting batch %zu failed\n", k);
       std::exit(1);
     }
@@ -349,29 +373,21 @@ void PreInsertWindow(const Shape& s, KgNet* kg) {
 void RunServeRw(const Params& params, const HostFacts& host,
                 Report* report) {
   Shape s;
-  s.papers = params.Size("papers");
+  s.papers = kPapers;
   s.seed = params.seed;
   const kgnet::workload::DblpOptions gen =
       DblpAt(s.papers, SubSeed(params.seed, "graph"));
   s.authors = gen.num_authors;
   s.venues = gen.num_venues;
   s.affiliations = gen.num_affiliations;
-  s.limit = params.Size("join_limit");
-  s.batch_papers = params.Size("batch_papers");
-  s.window = params.Size("window_batches");
-  s.zipf_s = params.Num("zipf_s");
-  s.share_point = params.Num("share.point");
-  s.share_star3 = params.Num("share.star3");
-  s.share_chain2 = params.Num("share.chain2");
   LayerValues layer;
   AddHostFacts(host, params.trace ? &layer : nullptr, report);
 
   // ---- set-up: generate + serialize (untimed), then load + compact ----
   const std::string doc = GenerateNTriples(gen);
-  const size_t reps = params.Size("setup_reps");
   std::vector<double> setup, load, compact;
   std::unique_ptr<KgNet> kg;
-  for (size_t i = 0; i < reps; ++i) {
+  for (size_t i = 0; i < kSetupReps; ++i) {
     kg.reset();
     double l = 0, c = 0;
     kg = LoadPlatform(doc, &l, &c);
@@ -396,52 +412,48 @@ void RunServeRw(const Params& params, const HostFacts& host,
   const size_t base_size = kg->store().size();
 
   // ---- schedules (all drawn before the first request) ----
-  const ServePlan plan = ServePlan::FromParams(params, kRwClasses);
   Rng rng(SubSeed(params.seed, "serve-rw-ops"));
-  const Zipf paper_z(s.papers, s.zipf_s, SubSeed(params.seed, "z-paper"));
-  const Zipf venue_z(s.venues, s.zipf_s, SubSeed(params.seed, "z-venue"));
-  const Zipf aff_z(s.affiliations, s.zipf_s, SubSeed(params.seed, "z-aff"));
-  uint64_t updates = 0;
-  uint32_t next_new = static_cast<uint32_t>(s.window), next_old = 0;
-  auto pick = [&](Op* op) {
+  const Zipf paper_z(s.papers, kZipfS, SubSeed(params.seed, "z-paper"));
+  const Zipf venue_z(s.venues, kZipfS, SubSeed(params.seed, "z-venue"));
+  const Zipf aff_z(s.affiliations, kZipfS, SubSeed(params.seed, "z-aff"));
+  auto read_pick = [&](Op* op) {
     const double u = rng.Uniform();
-    if (u < s.share_point) {
+    if (u < kSharePoint) {
       op->cls = kPoint;
       op->arg = static_cast<uint32_t>(paper_z.Sample(&rng) * kNumPointPreds +
                                       rng.Below(kNumPointPreds));
-    } else if (u < s.share_point + s.share_star3) {
+    } else if (u < kSharePoint + kShareStar3) {
       op->cls = kStar3;
       op->arg = static_cast<uint32_t>(venue_z.Sample(&rng));
-    } else if (u < s.share_point + s.share_star3 + s.share_chain2) {
+    } else {
       op->cls = kChain2;
       op->arg = static_cast<uint32_t>(aff_z.Sample(&rng));
-    } else {
-      op->cls = kUpdate;
-      op->arg = (updates++ % 2 == 0) ? (next_new++ << 1)
-                                     : ((next_old++ << 1) | 1u);
     }
   };
-  // The saturation phase sends reads only, in the mix's proportions: with
-  // updates in a closed loop every client convoys behind the store mutex
-  // (delta-view rebuilds, compaction) and the rate swung from 55 to 168
-  // ops/s across ten seeds. The write path's cost shows in p50_ms (the
-  // update class) and in the per-layer rdf metrics instead.
-  auto read_pick = [&](Op* op) {
-    do pick(op);
-    while (op->cls == kUpdate);
+  uint64_t updates = 0;
+  uint32_t next_new = static_cast<uint32_t>(kWindow), next_old = 0;
+  auto update_pick = [&](Op* op) {
+    const bool insert = updates++ % 2 == 0;
+    op->cls = insert ? kInsert : kDelete;
+    op->arg = insert ? (next_new++ << 1) : ((next_old++ << 1) | 1u);
   };
-  const ServeSchedules sched = MakeSchedules(plan, &rng, pick, read_pick);
-  // Updates the traced replay drives closed loop after the reference
-  // operations, enough to carry the log across the compaction trigger.
-  std::vector<Op> update_drive(params.Size("drive_updates"));
-  for (Op& op : update_drive) {
-    op.cls = kUpdate;
-    op.arg = (updates++ % 2 == 0) ? (next_new++ << 1)
-                                  : ((next_old++ << 1) | 1u);
-  }
+  ServePlan plan;
+  plan.class_names = kRwClasses;
+  plan.streams = {{kReadRate, read_pick}, {kUpdateRate, update_pick}};
+  plan.ref_s = params.seconds;
+  plan.sat_ops = kSatOps;
+  // The saturation phase sends reads only: with updates in a closed loop
+  // every client convoys behind the store mutex (delta-view rebuilds,
+  // compaction) and the rate swung from 55 to 168 ops/s across ten
+  // seeds. The write path's cost shows in p50_ms (the update class) and
+  // in the per-layer rdf metrics instead.
+  plan.sat_pick = read_pick;
+  const ServeSchedules sched = MakeSchedules(plan, &rng);
+  std::vector<Op> update_drive(kDriveUpdates);
+  for (Op& op : update_drive) update_pick(&op);
   Expected expected;
   {
-    ComputeExpected(s, kg.get(),
+    ComputeExpected(kg.get(),
                     {&sched.warmup, &sched.reference, &sched.saturation},
                     &expected);
   }
@@ -457,8 +469,9 @@ void RunServeRw(const Params& params, const HostFacts& host,
   st.expected = &expected;
   st.num_batches = next_new;
   st.inserted.reset(new std::atomic<uint8_t>[next_new]);
-  for (size_t k = 0; k < next_new; ++k) st.inserted[k].store(k < s.window);
-  if (!ConnectClients(server.port(), plan.threads, &st.clients)) std::exit(1);
+  for (size_t k = 0; k < next_new; ++k) st.inserted[k].store(k < kWindow);
+  if (!ConnectClients(server.port(), kClientThreads, &st.clients)) std::exit(1);
+  report->Info("placement", JsonString(SplitPlacement()));
   const Executor exec = [&](int t, const Op& op, int64_t rid) {
     return ExecLoopback(&st, t, op, rid);
   };
@@ -467,8 +480,7 @@ void RunServeRw(const Params& params, const HostFacts& host,
   if (!params.trace) {
     const auto stats0 = server.stats();
     const ServeOutcome out = RunServe(plan, sched, exec);
-    CheckFailureAccounting({&out.warmup, &out.reference, &out.saturation},
-                           stats0, server.stats(), report);
+    CheckFailureAccounting(out.phases(), stats0, server.stats(), report);
     ReportServe(plan, out, report);
     report->Metric("setup_s", Median(setup), "s");
     report->Metric("rss_peak_mb", PeakRssMb(), "MB");
@@ -476,28 +488,31 @@ void RunServeRw(const Params& params, const HostFacts& host,
     // The reference load with a span around every client call; per-class
     // latency, the loadgen facts and the failure cross-check come from it.
     const size_t nc = kRwClasses.size();
-    RunPhase("warmup", plan.ref_rate, plan.warmup_s, sched.warmup, nc,
-             plan.threads, exec, plan.abandon_late_s);
+    const auto stats_warm = server.stats();
+    const PhaseStats warm =
+        RunPhase("warmup", plan.rate(), kWarmupS, sched.warmup, nc,
+                 kClientThreads, exec, kAbandonLateS);
     Tracer loop_tracer;
-    for (int t = 0; t < plan.threads; ++t)
+    for (int t = 0; t < kClientThreads; ++t)
       st.spans.push_back(loop_tracer.NewThread());
     const auto stats0 = server.stats();
     std::vector<OpResult> traced_results;
     const PhaseStats traced =
-        RunPhase("reference", plan.ref_rate, plan.ref_s, sched.reference, nc,
-                 plan.threads, exec, plan.abandon_late_s, &traced_results);
+        RunPhase("reference", plan.rate(), plan.ref_s, sched.reference, nc,
+                 kClientThreads, exec, kAbandonLateS, &traced_results);
     const auto stats1 = server.stats();
     st.spans.clear();
-    report->Info("phases", "[" + PhaseJson(traced, kRwClasses) + "]");
-    report->CountOps(traced.all.sent,
-                     traced.all.failed + traced.all.refused + traced.all.wrong);
+    report->Info("phases", "[" + PhaseJson(warm, kRwClasses) + "," +
+                               PhaseJson(traced, kRwClasses) + "]");
+    CountPhase(warm, report);
+    CountPhase(traced, report);
     layer["serving.error_responses"] =
         static_cast<double>(stats1.error_responses - stats0.error_responses);
     layer["serving.overload_rejects"] =
         static_cast<double>(stats1.overload_rejects - stats0.overload_rejects);
     layer["serving.rid_replays"] =
         static_cast<double>(stats1.rid_replays - stats0.rid_replays);
-    CheckFailureAccounting({&traced}, stats0, stats1, report);
+    CheckFailureAccounting({&warm, &traced}, stats_warm, stats1, report);
     layer["serving.ping_us"] = PingUs(st.clients[0].get(), 200);
     std::vector<double> reads;
     for (int c : {kPoint, kStar3, kChain2})
@@ -505,10 +520,13 @@ void RunServeRw(const Params& params, const HostFacts& host,
                    traced.classes[c].latency_ms.end());
     layer["read_p50_ms"] = Percentile(reads, 0.5);
     layer["read_p99_ms"] = Percentile(reads, 0.99);
-    layer["update_p50_ms"] =
-        Percentile(traced.classes[kUpdate].latency_ms, 0.5);
-    layer["update_p99_ms"] =
-        Percentile(traced.classes[kUpdate].latency_ms, 0.99);
+    std::vector<double> updates_ms;
+    for (int c : {kInsert, kDelete})
+      updates_ms.insert(updates_ms.end(),
+                        traced.classes[c].latency_ms.begin(),
+                        traced.classes[c].latency_ms.end());
+    layer["update_p50_ms"] = Percentile(updates_ms, 0.5);
+    layer["update_p99_ms"] = Percentile(updates_ms, 0.99);
     layer["p99_ms"] = Percentile(traced.all.latency_ms, 0.99);
     layer["loadgen.late_ms_p99"] = traced.late_ms_p99;
     layer["loadgen.backlog_slope"] = traced.backlog_slope;
@@ -527,26 +545,29 @@ void RunServeRw(const Params& params, const HostFacts& host,
     replay.shape = &s;
     replay.kg = fresh.get();
     Tracer replay_tracer;
-    for (int t = 0; t < plan.threads; ++t)
+    for (int t = 0; t < kClientThreads; ++t)
       replay.spans.push_back(replay_tracer.NewThread());
-    replay.acc.resize(static_cast<size_t>(plan.threads));
-    replay.warm_acc.resize(static_cast<size_t>(plan.threads));
-    replay.sat_acc.resize(static_cast<size_t>(plan.threads));
+    replay.acc.resize(static_cast<size_t>(kClientThreads));
+    replay.warm_acc.resize(static_cast<size_t>(kClientThreads));
+    replay.drive_acc.resize(static_cast<size_t>(kClientThreads));
     // Warm-up ops first, unrecorded, so the store walks the same delta /
     // compaction trajectory as the loopback run did.
     const Executor replay_exec = [&](int t, const Op& op, int64_t rid) {
       return replay.Exec(t, op, rid);
     };
-    RunPhase("replay-warmup", plan.ref_rate, plan.warmup_s, sched.warmup, nc,
-             plan.threads, replay_exec, plan.abandon_late_s);
+    CheckSent(RunPhase("replay-warmup", plan.rate(), kWarmupS,
+                       sched.warmup, nc, kClientThreads, replay_exec,
+                       kAbandonLateS),
+              report);
     replay.mode = Replay::Mode::kReference;
     const uint64_t rc0 = fresh->store().GetStats().compactions;
-    RunPhase("replay", plan.ref_rate, plan.ref_s, sched.reference, nc,
-             plan.threads, replay_exec, plan.abandon_late_s);
+    CheckSent(RunPhase("replay", plan.rate(), plan.ref_s, sched.reference, nc,
+                       kClientThreads, replay_exec, kAbandonLateS),
+              report);
     // Updates, closed loop, drive the log across the compaction trigger
     // for the compaction facts.
-    replay.mode = Replay::Mode::kSaturation;
-    RunClosedPhase("replay-update-drive", update_drive, nc, plan.threads,
+    replay.mode = Replay::Mode::kUpdateDrive;
+    RunClosedPhase("replay-update-drive", update_drive, nc, kClientThreads,
                    replay_exec);
     ReplayAcc sum;
     for (const ReplayAcc& a : replay.acc) {
@@ -590,7 +611,8 @@ void RunServeRw(const Params& params, const HostFacts& host,
         sum.reads ? static_cast<double>(sum.delta) / sum.reads : 0.0;
     layer["rdf.update_us"] =
         per(sum.update_ns, sum.update_durations.size(), 1e3);
-    for (const ReplayAcc& a : replay.sat_acc) {
+    for (const ReplayAcc& a : replay.warm_acc) sum.failures += a.failures;
+    for (const ReplayAcc& a : replay.drive_acc) {
       sum.failures += a.failures;
       sum.update_durations.insert(sum.update_durations.end(),
                                   a.update_durations.begin(),

@@ -2,7 +2,7 @@
 // fixed epochs (no early stopping, no time budget, automatic method
 // selection): NC on the meta-sampled KG' (d1h1), NC on the full KG (the
 // paper's baseline, and the control for a meta-sampler change) and LP on
-// KG' (d2h1). The trio repeats round(--seconds / trio_s) times; every
+// KG' (d2h1). The trio repeats round(--seconds / kTrioS) times; every
 // repeat is the same computation, so the repeats only re-measure it.
 #include <algorithm>
 #include <cmath>
@@ -30,6 +30,12 @@ kgnet::core::TrainTaskSpec SpecFor(Task task, size_t epochs, uint64_t seed) {
   return spec;
 }
 
+// The workload's frozen parameters (perfbench/README.md gives the reasons).
+constexpr size_t kPapers = 2000;
+constexpr size_t kSetupReps = 9;  // setup_s is the median
+constexpr size_t kEpochs = 10;
+constexpr double kTrioS = 4;  // sets the repeats: round(--seconds / kTrioS)
+
 struct TaskRun {
   double wall_s = 0;
   kgnet::core::TrainOutcome outcome;
@@ -41,11 +47,11 @@ void RunTrain(const Params& params, const HostFacts& host, Report* report) {
   LayerValues layer;
   AddHostFacts(host, params.trace ? &layer : nullptr, report);
   const kgnet::workload::DblpOptions gen =
-      DblpAt(params.Size("papers"), SubSeed(params.seed, "graph"));
+      DblpAt(kPapers, SubSeed(params.seed, "graph"));
   const std::string doc = GenerateNTriples(gen);
   std::vector<double> setup, load, compact;
   std::unique_ptr<kgnet::core::KgNet> kg;
-  for (size_t i = 0; i < params.Size("setup_reps"); ++i) {
+  for (size_t i = 0; i < kSetupReps; ++i) {
     kg.reset();
     double l = 0, c = 0;
     kg = LoadPlatform(doc, &l, &c);
@@ -55,7 +61,7 @@ void RunTrain(const Params& params, const HostFacts& host, Report* report) {
   }
   const auto store_stats = kg->store().GetStats();
   report->Info("triples", std::to_string(store_stats.num_triples));
-  const size_t epochs = params.Size("epochs");
+  const size_t epochs = kEpochs;
   const uint64_t seed = SubSeed(params.seed, "train") % 1000003;
 
   Tracer tracer;
@@ -119,7 +125,7 @@ void RunTrain(const Params& params, const HostFacts& host, Report* report) {
   // a slow host runs the same work and registers the same models.
   const size_t trios = std::max<size_t>(
       1, static_cast<size_t>(
-             std::lround(params.seconds / params.Num("trio_s"))));
+             std::lround(params.seconds / kTrioS)));
   std::vector<TaskRun> runs[3];
   for (size_t rep = 0; rep < trios; ++rep) {
     for (Task task : {kNc, kNcFull, kLp}) {
@@ -151,7 +157,9 @@ void RunTrain(const Params& params, const HostFacts& host, Report* report) {
   std::string tasks = "{";
   for (Task task : {kNc, kNcFull, kLp}) {
     std::vector<double> wall;
+    std::string walls;
     for (const TaskRun& r : runs[task]) {
+      walls += (walls.empty() ? "" : ",") + JsonNumber(r.wall_s);
       wall.push_back(r.wall_s);
       all_ms.push_back(r.wall_s * 1e3);
       epochs_total += r.outcome.report.epochs_run;
@@ -165,7 +173,7 @@ void RunTrain(const Params& params, const HostFacts& host, Report* report) {
              ",\"metric\":" + JsonNumber(o.report.metric) +
              ",\"epochs\":" + std::to_string(o.report.epochs_run) +
              ",\"wall_s_median\":" + JsonNumber(Median(wall)) +
-             ",\"runs\":" + std::to_string(wall.size()) + "}";
+             ",\"wall_s\":[" + walls + "]}";
     const std::string name = kTaskNames[task];
     layer["train_" + name + "_s"] = Median(wall);
     log_median_sum += std::log(Median(wall) * 1e3);
