@@ -52,7 +52,7 @@ ServeOutcome RunServe(const ServePlan& plan, const ServeSchedules& sched,
                                            rounds);
     out.saturation.push_back(
         RunClosedPhase("saturation-" + std::to_string(r + 1), part, nc,
-                       kClientThreads, exec));
+                       kSatClients, exec));
   }
   return out;
 }

@@ -1,8 +1,8 @@
 // The serving harness shared by serve-rw and serve-ml: a warm-up, the
 // reference phase (open loop at the workload's reference rate for
 // --seconds; the latency metrics), then the saturation phase (a fixed
-// number of operations sent closed loop, every client thread back to back;
-// the throughput metric). A fixed count rather than a fixed time keeps the
+// number of operations sent closed loop by one client, back to back; the
+// throughput metric). A fixed count rather than a fixed time keeps the
 // work, and so the memory it leaves behind, the same on a slow host.
 #ifndef KGBENCH_SERVE_H_
 #define KGBENCH_SERVE_H_
@@ -22,10 +22,16 @@ constexpr double kWarmupS = 0.5;
 // An open-loop phase that falls this far behind its schedule stops
 // sending (a correctness miss, see CheckSent).
 constexpr double kAbandonLateS = 3;
-// Client threads and loopback connections: nproc of the development host.
+// Client threads and loopback connections of the open-loop phases: nproc
+// of the development host.
 constexpr int kClientThreads = 4;
-// The saturation phase runs in this many closed-loop rounds.
-constexpr size_t kSatRounds = 8;
+// The saturation phase: one closed-loop client, so the phase keeps about
+// one CPU busy and measures the cost of an operation rather than how many
+// of the host's shared CPUs the run was given (four clients saturating all
+// four CPUs spread 0.28 to 0.56 across runs on a loaded host). It runs in
+// this many rounds; throughput is the median round.
+constexpr int kSatClients = 1;
+constexpr size_t kSatRounds = 16;
 
 /// One open-loop arrival stream: `rate` operations per second, each
 /// drawn by `pick` in arrival order.

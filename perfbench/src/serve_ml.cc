@@ -48,7 +48,7 @@ constexpr double kZipfS = 0.99;
 constexpr size_t kTopK = 10;      // infer_links / infer_similar top-k
 constexpr size_t kNcLimit = 50;   // LIMIT of the NC SPARQL-ML query
 constexpr double kRefRate = 300;  // requests/s of the reference phase
-constexpr size_t kSatOps = 16000;
+constexpr size_t kSatOps = 12000;
 // Shares of the mix, in MlClass order.
 constexpr double kShares[5] = {0.35, 0.25, 0.3, 0.05, 0.05};
 
@@ -351,7 +351,6 @@ void RunServeMl(const Params& params, const HostFacts& host,
   Rng rng(SubSeed(params.seed, "serve-ml-ops"));
   const Zipf paper_z(s.papers, kZipfS, SubSeed(params.seed, "z-paper"));
   const Zipf person_z(s.authors, kZipfS, SubSeed(params.seed, "z-person"));
-  const Zipf venue_z(s.venues, kZipfS, SubSeed(params.seed, "z-venue"));
   auto pick = [&](Op* op) {
     double u = rng.Uniform();
     int c = 0;
@@ -360,7 +359,7 @@ void RunServeMl(const Params& params, const HostFacts& host,
     if (c == kClass)
       op->arg = static_cast<uint32_t>(paper_z.Sample(&rng));
     else if (c == kSparqlNc)
-      op->arg = static_cast<uint32_t>(venue_z.Sample(&rng));
+      op->arg = static_cast<uint32_t>(rng.Below(s.venues));  // see serve-rw
     else
       op->arg = static_cast<uint32_t>(person_z.Sample(&rng));
   };
