@@ -54,8 +54,16 @@ class JsonParser {
     SkipWs();
     if (pos_ >= s_.size()) return Status::ParseError("unexpected end of JSON");
     const char c = s_[pos_];
-    if (c == '{') return ParseObject();
-    if (c == '[') return ParseArray();
+    if (c == '{' || c == '[') {
+      if (depth_ == kMaxJsonDepth)
+        return Status::InvalidArgument(
+            "JSON nesting deeper than " + std::to_string(kMaxJsonDepth) +
+            " levels at offset " + std::to_string(pos_));
+      ++depth_;
+      Result<JsonValue> v = c == '{' ? ParseObject() : ParseArray();
+      --depth_;
+      return v;
+    }
     if (c == '"' || c == '\'') {
       KGNET_ASSIGN_OR_RETURN(std::string str, ParseString());
       return JsonValue(std::move(str));
@@ -192,6 +200,7 @@ class JsonParser {
 
   std::string_view s_;
   size_t pos_ = 0;
+  int depth_ = 0;  // arrays/objects open around the current position
 };
 
 }  // namespace

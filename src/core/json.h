@@ -89,7 +89,13 @@ class JsonValue {
   std::map<std::string, JsonValue> obj_;
 };
 
-/// Parses `text` into a JsonValue.
+/// Deepest array/object nesting ParseJson accepts. The parser recurses
+/// once per level, so a hostile frame of nested brackets would otherwise
+/// overflow the stack.
+inline constexpr int kMaxJsonDepth = 128;
+
+/// Parses `text` into a JsonValue. Nesting deeper than kMaxJsonDepth is
+/// InvalidArgument.
 Result<JsonValue> ParseJson(std::string_view text);
 
 /// Serializes `value` as strict, deterministic JSON: object keys are

@@ -375,6 +375,15 @@ Result<QueryResult> SparqlMlService::Execute(std::string_view text,
   if (text.find("TrainGML") != std::string_view::npos)
     return ExecuteTrainGml(text, std::move(cancel));
   KGNET_ASSIGN_OR_RETURN(Query query, sparql::ParseQuery(text));
+  return Execute(query, text, stats, std::move(cancel));
+}
+
+Result<QueryResult> SparqlMlService::Execute(const Query& query,
+                                             std::string_view text,
+                                             ExecutionStats* stats,
+                                             common::CancelToken cancel) {
+  if (text.find("TrainGML") != std::string_view::npos)
+    return ExecuteTrainGml(text, std::move(cancel));
   if (query.kind == QueryKind::kDeleteWhere) {
     // kgnet: metadata deletes manage models; anything else runs on the KG.
     bool targets_kgmeta = false;

@@ -95,6 +95,15 @@ class SparqlMlService {
                                       ExecutionStats* stats = nullptr,
                                       common::CancelToken cancel = {});
 
+  /// Execute() for a caller that has already parsed `text` into `query`
+  /// (KgServer parses every request to route it): the same result
+  /// without parsing the text again. `text` is still read for TrainGML,
+  /// whose payload the parsed query does not carry.
+  Result<sparql::QueryResult> Execute(const sparql::Query& query,
+                                      std::string_view text,
+                                      ExecutionStats* stats = nullptr,
+                                      common::CancelToken cancel = {});
+
   /// Forces a specific plan (benchmarks); kAuto = optimizer decides.
   Result<sparql::QueryResult> ExecuteWithPlan(std::string_view text,
                                               RewritePlan plan,

@@ -166,8 +166,20 @@ std::pair<size_t, size_t> DeltaView::OrderDelta::PrefixRange(
           static_cast<size_t>(hi - keys.begin())};
 }
 
+namespace {
+
+/// Appends one entry to an order's delta, extending the insert prefix sum.
+void AppendEntry(DeltaView::OrderDelta* od, const IndexKey& key,
+                 uint8_t tomb) {
+  od->keys.push_back(key);
+  od->tombstone.push_back(tomb);
+  od->ins_before.push_back(od->ins_before.back() + (tomb != 0 ? 0u : 1u));
+}
+
+}  // namespace
+
 std::shared_ptr<const DeltaView> TripleStore::BuildDeltaView(
-    const Generation& gen, const std::vector<LogEntry>& log, uint64_t epoch) {
+    const Generation& gen, std::span<const LogEntry> log, uint64_t epoch) {
   auto view = std::make_shared<DeltaView>();
   view->epoch_ = epoch;
   if (log.empty()) return view;
@@ -217,11 +229,99 @@ std::shared_ptr<const DeltaView> TripleStore::BuildDeltaView(
     od.tombstone.reserve(rows.size());
     od.ins_before.reserve(rows.size() + 1);
     od.ins_before.push_back(0);
-    for (const auto& [k, tomb] : rows) {
-      od.keys.push_back(k);
-      od.tombstone.push_back(tomb);
-      od.ins_before.push_back(od.ins_before.back() + (tomb != 0 ? 0u : 1u));
+    for (const auto& [k, tomb] : rows) AppendEntry(&od, k, tomb);
+  }
+  return view;
+}
+
+std::shared_ptr<const DeltaView> TripleStore::ExtendDeltaView(
+    const Generation& gen, const DeltaView& base,
+    std::span<const LogEntry> suffix, uint64_t epoch) {
+  // Last-op-wins collapse of the suffix: sort by (SPO key, log position)
+  // and keep the last entry of each key.
+  std::vector<std::pair<IndexKey, size_t>> touched;
+  touched.reserve(suffix.size());
+  for (size_t i = 0; i < suffix.size(); ++i)
+    touched.emplace_back(PermuteTriple(IndexOrder::kSpo, suffix[i].triple), i);
+  std::sort(touched.begin(), touched.end());
+  // Classify each touched triple. Its generation membership is the kind
+  // of its `base` entry when it has one, a run probe otherwise; its new
+  // entry is definite iff the last op disagrees with that membership
+  // (and is then a tombstone iff the generation has it). Only a change
+  // of definiteness alters the view: an addition or a removal.
+  struct Change {
+    Triple triple;
+    uint8_t tomb;
+  };
+  std::vector<Change> added;
+  std::vector<Change> removed;
+  const DeltaView::OrderDelta& base_spo = base.order_delta(IndexOrder::kSpo);
+  const CompressedRun& spo = gen.run(IndexOrder::kSpo).run;
+  for (size_t i = 0; i < touched.size(); ++i) {
+    const IndexKey& key = touched[i].first;
+    if (i + 1 < touched.size() && touched[i + 1].first == key) continue;
+    const LogEntry& last = suffix[touched[i].second];
+    const auto it =
+        std::lower_bound(base_spo.keys.begin(), base_spo.keys.end(), key);
+    const bool in_base = it != base_spo.keys.end() && *it == key;
+    bool in_gen = false;
+    if (in_base) {
+      in_gen = base_spo.tombstone[static_cast<size_t>(
+                   it - base_spo.keys.begin())] != 0;
+    } else {
+      const auto [lo, hi] = spo.PrefixRange(3, key);
+      in_gen = lo < hi;
     }
+    const bool definite = last.erase == in_gen;
+    if (definite == in_base) continue;
+    (definite ? added : removed)
+        .push_back({last.triple, static_cast<uint8_t>(in_gen ? 1 : 0)});
+  }
+
+  auto view = std::make_shared<DeltaView>();
+  view->epoch_ = epoch;
+  view->num_inserts_ = base.num_inserts_;
+  view->num_tombstones_ = base.num_tombstones_;
+  for (const Change& c : added)
+    ++(c.tomb != 0 ? view->num_tombstones_ : view->num_inserts_);
+  for (const Change& c : removed)
+    --(c.tomb != 0 ? view->num_tombstones_ : view->num_inserts_);
+  // Merge per order: the old entries minus the removals, with the
+  // additions (never keys of `base`) slotted in by key.
+  std::vector<std::pair<IndexKey, uint8_t>> adds;
+  std::vector<IndexKey> rems;
+  for (int oi = 0; oi < kNumIndexOrders; ++oi) {
+    const auto order = static_cast<IndexOrder>(oi);
+    if (!gen.run(order).present) continue;
+    adds.clear();
+    rems.clear();
+    for (const Change& c : added)
+      adds.emplace_back(PermuteTriple(order, c.triple), c.tomb);
+    for (const Change& c : removed)
+      rems.push_back(PermuteTriple(order, c.triple));
+    std::sort(adds.begin(), adds.end());
+    std::sort(rems.begin(), rems.end());
+    const DeltaView::OrderDelta& old = base.order_delta(order);
+    DeltaView::OrderDelta& od = view->orders_[static_cast<size_t>(oi)];
+    const size_t n = old.keys.size() + adds.size() - rems.size();
+    od.keys.reserve(n);
+    od.tombstone.reserve(n);
+    od.ins_before.reserve(n + 1);
+    od.ins_before.push_back(0);
+    size_t a = 0;
+    size_t r = 0;
+    for (size_t i = 0; i < old.keys.size(); ++i) {
+      const IndexKey& k = old.keys[i];
+      for (; a < adds.size() && adds[a].first < k; ++a)
+        AppendEntry(&od, adds[a].first, adds[a].second);
+      if (r < rems.size() && rems[r] == k) {
+        ++r;
+        continue;
+      }
+      AppendEntry(&od, k, old.tombstone[i]);
+    }
+    for (; a < adds.size(); ++a)
+      AppendEntry(&od, adds[a].first, adds[a].second);
   }
   return view;
 }
@@ -413,20 +513,27 @@ TripleStore& TripleStore::operator=(TripleStore&& other) noexcept {
   return *this;
 }
 
-bool TripleStore::Insert(const Triple& t) {
+size_t TripleStore::Apply(Mutation kind, std::span<const Triple> triples) {
+  const bool erase = kind == Mutation::kErase;
+  size_t applied = 0;
   size_t log_len = 0;
   size_t gen_triples = 0;
   {
     common::MutexLock lk(&mu_);
-    if (!membership_.insert(t).second) return false;
-    log_.push_back({t, false});
+    for (const Triple& t : triples) {
+      const bool changed =
+          erase ? membership_.erase(t) > 0 : membership_.insert(t).second;
+      if (!changed) continue;
+      log_.push_back({t, erase});
+      ++applied;
+    }
     log_len = log_.size();
     gen_triples = gen_->num_triples();
   }
   // The compaction trigger runs on the writer, outside mu_ — never on a
   // read path.
-  if (log_len >= CompactTrigger(gen_triples)) Compact();
-  return true;
+  if (applied > 0 && log_len >= CompactTrigger(gen_triples)) Compact();
+  return applied;
 }
 
 bool TripleStore::Insert(const Term& s, const Term& p, const Term& o) {
@@ -439,24 +546,9 @@ bool TripleStore::InsertIris(std::string_view s, std::string_view p,
       Triple(dict_.InternIri(s), dict_.InternIri(p), dict_.InternIri(o)));
 }
 
-bool TripleStore::Erase(const Triple& t) {
-  size_t log_len = 0;
-  size_t gen_triples = 0;
-  {
-    common::MutexLock lk(&mu_);
-    if (membership_.erase(t) == 0) return false;
-    log_.push_back({t, true});
-    log_len = log_.size();
-    gen_triples = gen_->num_triples();
-  }
-  if (log_len >= CompactTrigger(gen_triples)) Compact();
-  return true;
-}
-
 size_t TripleStore::EraseMatching(const TriplePattern& pattern) {
-  std::vector<Triple> victims = Match(pattern);
-  for (const Triple& t : victims) Erase(t);
-  return victims.size();
+  const std::vector<Triple> victims = Match(pattern);
+  return Apply(Mutation::kErase, victims);
 }
 
 bool TripleStore::Contains(const Triple& t) const {
@@ -467,9 +559,27 @@ bool TripleStore::Contains(const Triple& t) const {
 std::shared_ptr<const DeltaView> TripleStore::ViewAtCurrentEpochLocked()
     const {
   const uint64_t epoch = log_base_ + log_.size();
-  if (!view_cache_ || view_cache_->epoch() != epoch)
+  if (view_cache_ && view_cache_->epoch() == epoch) return view_cache_;
+  if (view_cache_ && view_cache_->epoch() >= log_base_) {
+    // Same generation, older epoch: merge in only the entries since.
+    const std::span<const LogEntry> suffix =
+        std::span<const LogEntry>(log_).subspan(view_cache_->epoch() -
+                                                log_base_);
+    view_cache_ = ExtendDeltaView(*gen_, *view_cache_, suffix, epoch);
+  } else {
     view_cache_ = BuildDeltaView(*gen_, log_, epoch);
+  }
   return view_cache_;
+}
+
+uint64_t TripleStore::epoch() const {
+  common::MutexLock lk(&mu_);
+  return log_base_ + log_.size();
+}
+
+std::shared_ptr<const DeltaView> TripleStore::RebuildDeltaView() const {
+  common::MutexLock lk(&mu_);
+  return BuildDeltaView(*gen_, log_, log_base_ + log_.size());
 }
 
 Snapshot TripleStore::OpenSnapshot() const {

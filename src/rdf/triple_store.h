@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -98,7 +99,9 @@ class Generation {
 /// re-insert of an erased generation key — cancel at build time). Each
 /// entry therefore adjusts any containing range count by exactly +-1,
 /// which is what keeps EstimateRange exact on a dirty store. Immutable
-/// once built and shared by every snapshot at its epoch.
+/// once built and shared by every snapshot at its epoch; the view of a
+/// later epoch is derived from it by merging in only the newer log
+/// entries (TripleStore::ExtendDeltaView).
 class DeltaView {
  public:
   /// One permutation order's delta: permuted keys in that order's sort
@@ -132,6 +135,19 @@ class DeltaView {
   size_t num_tombstones() const { return num_tombstones_; }
   /// Total definite entries (inserts + tombstones).
   size_t size() const { return num_inserts_ + num_tombstones_; }
+
+  /// Field-wise equality (keys, tombstones, ins_before of every order,
+  /// epoch and counts): how tests pin the incremental build to the
+  /// from-scratch one.
+  friend bool operator==(const OrderDelta& a, const OrderDelta& b) {
+    return a.keys == b.keys && a.tombstone == b.tombstone &&
+           a.ins_before == b.ins_before;
+  }
+  friend bool operator==(const DeltaView& a, const DeltaView& b) {
+    return a.orders_ == b.orders_ && a.epoch_ == b.epoch_ &&
+           a.num_inserts_ == b.num_inserts_ &&
+           a.num_tombstones_ == b.num_tombstones_;
+  }
 
  private:
   friend class TripleStore;
@@ -249,13 +265,16 @@ class Snapshot {
   /// An empty snapshot behaves like an empty store at epoch 0.
   Snapshot() = default;
 
-  /// The mutation epoch this snapshot observes (one Insert/Erase = one
+  /// The mutation epoch this snapshot observes (one applied triple = one
   /// epoch tick).
   uint64_t epoch() const { return epoch_; }
 
   /// Uncompacted delta entries (inserts + tombstones) this snapshot
   /// merges over its generation.
   size_t delta_size() const { return view_ ? view_->size() : 0; }
+
+  /// The delta view this snapshot merges (null for an empty snapshot).
+  const DeltaView* delta_view() const { return view_.get(); }
 
   /// Exact number of triples visible.
   size_t size() const;
@@ -320,21 +339,25 @@ class Snapshot {
 /// the block size.
 ///
 /// Storage is versioned (MVCC): the compressed runs live in an
-/// immutable Generation; Insert/Erase append to a small in-memory
+/// immutable Generation; Insert/Erase/Apply append to a small in-memory
 /// mutation log under `mu_` and *never* rebuild an index on the read
-/// path. Reads go through OpenSnapshot(), which pins the current
-/// generation and the delta view of the log at the current epoch;
-/// cursors merge run + delta with tombstone suppression, preserving
+/// path. Apply publishes a whole batch under one `mu_` hold, so no
+/// snapshot observes part of it. Reads go through OpenSnapshot(), which
+/// pins the current generation and the delta view of the log at the
+/// current epoch; the first snapshot of an epoch extends the previous
+/// epoch's view by the new log entries only (O(view + new entries)),
+/// and only the first view after a compaction is built from scratch.
+/// Cursors merge run + delta with tombstone suppression, preserving
 /// index sort order. Compact() — triggered by the writer once the log
 /// passes the compaction threshold, or called explicitly — merges the
 /// delta into a fresh generation on the shared thread pool (one task
-/// per order) off the read path and swaps it in; superseded generations
-/// are reclaimed when their last pinning snapshot drops. No reader ever
-/// blocks on (or observes) a partial rebuild.
+/// per order) without holding `mu_` and swaps it in; superseded
+/// generations are reclaimed when their last pinning snapshot drops.
+/// No reader ever observes a partial rebuild or a partial batch.
 ///
 /// Concurrency: any number of concurrent readers are safe against one
 /// concurrent writer and a concurrent Compact(). Mutations themselves
-/// are single-writer (Insert/Erase from one thread at a time). The
+/// are single-writer (Insert/Erase/Apply from one thread at a time). The
 /// Dictionary is safe under the same regime: Lookup is lock-free
 /// against concurrent interning (terms live in blocks that never move
 /// once published), and Intern/Find serialize internally, so readers
@@ -425,11 +448,27 @@ class TripleStore {
   Dictionary& dict() { return dict_; }
   const Dictionary& dict() const { return dict_; }
 
+  /// Whether a batch mutation inserts or erases its triples.
+  enum class Mutation { kInsert, kErase };
+
+  /// Inserts (or erases) every triple of `triples` as one atomic step:
+  /// one `mu_` hold appends them all to the mutation log, so a snapshot
+  /// sees the whole batch or none of it. Membership is checked per
+  /// triple as for Insert/Erase — duplicate inserts and erases of absent
+  /// triples (within the batch too) are skipped — and every applied
+  /// triple ticks the epoch once. Returns the number applied; may
+  /// trigger one automatic Compact() afterwards. Insert and Erase are
+  /// its one-element calls.
+  size_t Apply(Mutation kind, std::span<const Triple> triples);
+
   /// Inserts an encoded triple. Duplicate inserts are ignored.
   /// Returns true if the triple was new. Appends to the mutation log —
-  /// no index rebuild; may trigger an automatic Compact() once the log
-  /// passes the compaction threshold.
-  bool Insert(const Triple& t);
+  /// no index rebuild, no allocation beyond the log and membership
+  /// entry; may trigger an automatic Compact() once the log passes the
+  /// compaction threshold.
+  bool Insert(const Triple& t) {
+    return Apply(Mutation::kInsert, std::span<const Triple>(&t, 1)) == 1;
+  }
 
   /// Encodes and inserts a (subject, predicate, object) of Terms.
   bool Insert(const Term& s, const Term& p, const Term& o);
@@ -439,20 +478,33 @@ class TripleStore {
 
   /// Removes a triple. Returns true if it was present. Appends a
   /// tombstone to the mutation log — no index rebuild.
-  bool Erase(const Triple& t);
+  bool Erase(const Triple& t) {
+    return Apply(Mutation::kErase, std::span<const Triple>(&t, 1)) == 1;
+  }
 
-  /// Removes every triple matching `pattern`; returns the number removed.
+  /// Removes every triple matching `pattern` as one Apply batch; returns
+  /// the number removed.
   size_t EraseMatching(const TriplePattern& pattern);
 
   /// True if the exact triple is present.
   bool Contains(const Triple& t) const;
 
+  /// The current mutation epoch (one tick per applied triple). O(1):
+  /// unlike OpenSnapshot().epoch() it builds no delta view.
+  uint64_t epoch() const;
+
   /// Opens an epoch-stamped snapshot of the store: the pinned current
-  /// generation plus the delta view of the uncompacted log. O(1) plus a
-  /// one-off O(delta) view build per epoch (cached and shared across
-  /// snapshots of the same epoch). All the read methods below are
-  /// conveniences for OpenSnapshot().<method>().
+  /// generation plus the delta view of the uncompacted log. O(1) plus,
+  /// once per epoch, extending the previous epoch's view by the log
+  /// entries since (cached and shared across snapshots of the same
+  /// epoch). All the read methods below are conveniences for
+  /// OpenSnapshot().<method>().
   Snapshot OpenSnapshot() const;
+
+  /// The delta view at the current epoch built from scratch from the
+  /// whole log, bypassing (and leaving alone) the incremental cache:
+  /// the reference the incremental build must equal field for field.
+  std::shared_ptr<const DeltaView> RebuildDeltaView() const;
 
   /// Calls `fn` for every triple matching `pattern`. If `fn` returns
   /// false, iteration stops early.
@@ -532,15 +584,29 @@ class TripleStore {
   };
 
   /// Builds the definite delta view of `log` against `gen` (see
-  /// DeltaView). Pure; callers pass the guarded members under mu_.
+  /// DeltaView) from scratch: O(log) hashing and generation probes plus
+  /// one sort per order. Pure; callers pass the guarded members under
+  /// mu_. Used for the first view after a compaction.
   static std::shared_ptr<const DeltaView> BuildDeltaView(
-      const Generation& gen, const std::vector<LogEntry>& log,
-      uint64_t epoch);
+      const Generation& gen, std::span<const LogEntry> log, uint64_t epoch);
+
+  /// The view at `epoch` derived from `base`, the view of the same
+  /// generation at an earlier epoch, plus `suffix`, the log entries
+  /// since: the suffix collapses last-op-wins, each touched triple is
+  /// classified against `base` and then `gen`, and the resulting sorted
+  /// additions and removals merge into every order. O(view + s log s)
+  /// per order for a suffix of s entries. Pure; equal to BuildDeltaView
+  /// over the whole log.
+  static std::shared_ptr<const DeltaView> ExtendDeltaView(
+      const Generation& gen, const DeltaView& base,
+      std::span<const LogEntry> suffix, uint64_t epoch);
 
   /// The empty generation every store starts from (epoch 0).
   std::shared_ptr<const Generation> MakeEmptyGeneration() const;
 
-  /// Ensures view_cache_ matches the current epoch; returns it.
+  /// Ensures view_cache_ matches the current epoch — extending the
+  /// cached view when it has one of an older epoch, building from
+  /// scratch otherwise — and returns it.
   std::shared_ptr<const DeltaView> ViewAtCurrentEpochLocked() const
       KGNET_REQUIRES(mu_);
 
@@ -574,7 +640,9 @@ class TripleStore {
   /// and size() in O(1)).
   std::unordered_set<Triple, TripleHash> membership_ KGNET_GUARDED_BY(mu_);
   /// Delta view of log_ at the current epoch, built lazily on the first
-  /// snapshot of each epoch and shared by all of them.
+  /// snapshot of each epoch and shared by all of them. Always built
+  /// against gen_ (reset whenever gen_ is swapped), so a cached view of
+  /// an older epoch can be extended by the log suffix since.
   mutable std::shared_ptr<const DeltaView> view_cache_ KGNET_GUARDED_BY(mu_);
   /// Serializes compaction cycles (writer-triggered and explicit).
   mutable common::Mutex compact_mu_;

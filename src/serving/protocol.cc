@@ -284,8 +284,11 @@ Result<rdf::Term> DecodeTerm(const core::JsonValue& value) {
   return Status::ParseError("unknown term tag \"" + tag + "\"");
 }
 
-std::string BuildQueryResponse(double id, const sparql::QueryResult& result,
-                               const sparql::ExecInfo* info) {
+namespace {
+
+/// The query response object without the snapshot keys.
+core::JsonValue QueryResponseObject(double id,
+                                    const sparql::QueryResult& result) {
   core::JsonValue resp = core::JsonValue::Object();
   resp.Set("ok", core::JsonValue(true));
   resp.Set("id", core::JsonValue(id));
@@ -304,12 +307,24 @@ std::string BuildQueryResponse(double id, const sparql::QueryResult& result,
            core::JsonValue(static_cast<double>(result.num_inserted)));
   resp.Set("deleted",
            core::JsonValue(static_cast<double>(result.num_deleted)));
-  if (info != nullptr) {
-    resp.Set("epoch",
-             core::JsonValue(static_cast<double>(info->snapshot_epoch)));
-    resp.Set("delta",
-             core::JsonValue(static_cast<double>(info->snapshot_delta)));
-  }
+  return resp;
+}
+
+}  // namespace
+
+std::string BuildQueryResponse(double id, const sparql::QueryResult& result,
+                               const sparql::ExecInfo* info) {
+  if (info != nullptr)
+    return BuildQueryResponse(id, result, info->snapshot_epoch,
+                              info->snapshot_delta);
+  return core::DumpJson(QueryResponseObject(id, result));
+}
+
+std::string BuildQueryResponse(double id, const sparql::QueryResult& result,
+                               uint64_t epoch, size_t delta) {
+  core::JsonValue resp = QueryResponseObject(id, result);
+  resp.Set("epoch", core::JsonValue(static_cast<double>(epoch)));
+  resp.Set("delta", core::JsonValue(static_cast<double>(delta)));
   return core::DumpJson(resp);
 }
 

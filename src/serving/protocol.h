@@ -128,9 +128,14 @@ core::JsonValue EncodeTerm(const rdf::Term& term);
 Result<rdf::Term> DecodeTerm(const core::JsonValue& value);
 
 /// Serialized success response for a query. `info` non-null attaches the
-/// "epoch"/"delta" keys (plain concurrent-read path only).
+/// "epoch"/"delta" keys from its snapshot fields.
 std::string BuildQueryResponse(double id, const sparql::QueryResult& result,
                                const sparql::ExecInfo* info);
+/// The same response with "epoch"/"delta" attached from the snapshot the
+/// query read (the plain concurrent-read path, which asks the engine for
+/// no ExecInfo).
+std::string BuildQueryResponse(double id, const sparql::QueryResult& result,
+                               uint64_t epoch, size_t delta);
 /// {"ok":false,...} from a Status (any request kind).
 std::string BuildErrorResponse(double id, const Status& status);
 std::string BuildValueResponse(double id, const std::string& value);

@@ -561,7 +561,8 @@ std::string KgServer::HandleQuery(
         BumpError();
         return BuildErrorResponse(req.id, waited);
       }
-      result = service_->Execute(req.query, nullptr, source.token());
+      result =
+          service_->Execute(*parsed, req.query, nullptr, source.token());
     }
     const StatusCode rc = result.status().code();
     const bool cancelled_class =
@@ -601,13 +602,15 @@ std::string KgServer::HandleQuery(
   common::CancelSource source;
   if (has_deadline) source.set_deadline(deadline_at);
   source.set_abandon_probe([fd] { return PeerGone(fd); });
-  sparql::ExecInfo info;
+  // No ExecInfo: the wire carries only the snapshot's epoch/delta, which
+  // the snapshot itself supplies, and asking for one would render an
+  // unread EXPLAIN string and skip the single-pattern fast path.
   const rdf::Snapshot snapshot = service_->engine().store()->OpenSnapshot();
   Result<sparql::QueryResult> result = Status::Internal("pending");
   {
     ScopedActiveSource active(this, &source);
-    result =
-        service_->engine().Execute(*parsed, snapshot, &info, source.token());
+    result = service_->engine().Execute(*parsed, snapshot, nullptr,
+                                        source.token());
   }
   if (!result.ok()) {
     if (result.status().code() == StatusCode::kDeadlineExceeded)
@@ -617,7 +620,8 @@ std::string KgServer::HandleQuery(
     BumpError();
     return BuildErrorResponse(req.id, result.status());
   }
-  return BuildQueryResponse(req.id, *result, &info);
+  return BuildQueryResponse(req.id, *result, snapshot.epoch(),
+                            snapshot.delta_size());
 }
 
 std::string KgServer::HandleHealth(const Request& req) {
@@ -629,7 +633,7 @@ std::string KgServer::HandleHealth(const Request& req) {
     h.queue_depth = queue_.size();
   }
   h.queue_capacity = static_cast<size_t>(options_.queue_depth);
-  h.epoch = service_->engine().store()->OpenSnapshot().epoch();
+  h.epoch = service_->engine().store()->epoch();
   h.draining = draining_.load(std::memory_order_relaxed);
   {
     // Served count as of before this health request (it is counted

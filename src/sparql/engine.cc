@@ -626,13 +626,19 @@ Result<QueryResult> QueryEngine::Execute(const Query& query,
       return result;
     }
     case QueryKind::kInsertData: {
+      rdf::Dictionary& dict = store_->dict();
+      std::vector<Triple> batch;
+      batch.reserve(query.update_template.size());
       for (const auto& pt : query.update_template) {
         if (pt.s.is_var || pt.p.is_var || pt.o.is_var)
           return Status::InvalidArgument(
               "INSERT DATA requires ground triples");
-        if (store_->Insert(pt.s.term, pt.p.term, pt.o.term))
-          ++result.num_inserted;
+        batch.emplace_back(dict.Intern(pt.s.term), dict.Intern(pt.p.term),
+                           dict.Intern(pt.o.term));
       }
+      // One atomic publish: readers see all of the request or none of it.
+      result.num_inserted =
+          store_->Apply(rdf::TripleStore::Mutation::kInsert, batch);
       return result;
     }
     case QueryKind::kInsertWhere:
@@ -653,13 +659,11 @@ Result<QueryResult> QueryEngine::Execute(const Query& query,
           batch.push_back(t);
         }
       }
-      for (const Triple& t : batch) {
-        if (inserting) {
-          if (store_->Insert(t)) ++result.num_inserted;
-        } else {
-          if (store_->Erase(t)) ++result.num_deleted;
-        }
-      }
+      const size_t applied = store_->Apply(
+          inserting ? rdf::TripleStore::Mutation::kInsert
+                    : rdf::TripleStore::Mutation::kErase,
+          batch);
+      (inserting ? result.num_inserted : result.num_deleted) = applied;
       return result;
     }
     case QueryKind::kSelect:

@@ -1,5 +1,6 @@
 #include "sparql/parser.h"
 
+#include <algorithm>
 #include <cstdlib>
 
 #include "common/string_util.h"
@@ -75,6 +76,31 @@ class Parser {
   Status Err(std::string msg) const {
     return Status::ParseError(msg + " (near offset " +
                               std::to_string(Peek().offset) + ")");
+  }
+  Status TooDeep() const {
+    return Status::InvalidArgument(
+        "query nesting deeper than " + std::to_string(kMaxNestingDepth) +
+        " levels (near offset " + std::to_string(Peek().offset) + ")");
+  }
+
+  /// One level of recursion, held for the scope of a nested parse.
+  class Level {
+   public:
+    explicit Level(int* depth) : depth_(depth) { ++*depth_; }
+    ~Level() { --*depth_; }
+    Level(const Level&) = delete;
+    Level& operator=(const Level&) = delete;
+    bool too_deep() const { return *depth_ > kMaxNestingDepth; }
+
+   private:
+    int* depth_;
+  };
+
+  /// Records `height` as the height of the expression just parsed.
+  Status SetHeight(int height) {
+    if (height > kMaxNestingDepth) return TooDeep();
+    height_ = height;
+    return Status::OK();
   }
 
   Status ParsePrologue(Query* q) {
@@ -192,6 +218,8 @@ class Parser {
   }
 
   Status ParseGroupGraphPattern(Query* q, GraphPattern* gp) {
+    const Level level(&depth_);
+    if (level.too_deep()) return TooDeep();
     KGNET_RETURN_IF_ERROR(Expect("{"));
     while (!Peek().IsPunct("}")) {
       if (Peek().kind == TokenKind::kEof) return Err("unterminated '{'");
@@ -322,29 +350,42 @@ class Parser {
                "'");
   }
 
+  // Every expression parser leaves the height of the tree it returns in
+  // height_. The operator chains below build left-deep trees in a loop,
+  // so their height is checked per link, not by recursion depth.
+
   // expr := andExpr ('||' andExpr)*
   Result<ExprPtr> ParseExpr(Query* q) {
     KGNET_ASSIGN_OR_RETURN(ExprPtr lhs, ParseAndExpr(q));
+    int height = height_;
     while (Peek().IsPunct("||")) {
       Next();
       KGNET_ASSIGN_OR_RETURN(ExprPtr rhs, ParseAndExpr(q));
+      height = 1 + std::max(height, height_);
+      KGNET_RETURN_IF_ERROR(SetHeight(height));
       lhs = Expr::Binary(ExprOp::kOr, lhs, rhs);
     }
+    height_ = height;
     return lhs;
   }
 
   Result<ExprPtr> ParseAndExpr(Query* q) {
     KGNET_ASSIGN_OR_RETURN(ExprPtr lhs, ParseCmpExpr(q));
+    int height = height_;
     while (Peek().IsPunct("&&")) {
       Next();
       KGNET_ASSIGN_OR_RETURN(ExprPtr rhs, ParseCmpExpr(q));
+      height = 1 + std::max(height, height_);
+      KGNET_RETURN_IF_ERROR(SetHeight(height));
       lhs = Expr::Binary(ExprOp::kAnd, lhs, rhs);
     }
+    height_ = height;
     return lhs;
   }
 
   Result<ExprPtr> ParseCmpExpr(Query* q) {
     KGNET_ASSIGN_OR_RETURN(ExprPtr lhs, ParseUnaryExpr(q));
+    const int lhs_height = height_;
     const Token& t = Peek();
     ExprOp op;
     if (t.IsPunct("=")) {
@@ -364,13 +405,17 @@ class Parser {
     }
     Next();
     KGNET_ASSIGN_OR_RETURN(ExprPtr rhs, ParseUnaryExpr(q));
+    KGNET_RETURN_IF_ERROR(SetHeight(1 + std::max(lhs_height, height_)));
     return Expr::Binary(op, lhs, rhs);
   }
 
   Result<ExprPtr> ParseUnaryExpr(Query* q) {
     if (Peek().IsPunct("!")) {
       Next();
+      const Level level(&depth_);
+      if (level.too_deep()) return TooDeep();
       KGNET_ASSIGN_OR_RETURN(ExprPtr inner, ParseUnaryExpr(q));
+      KGNET_RETURN_IF_ERROR(SetHeight(1 + height_));
       auto e = std::make_shared<Expr>();
       e->op = ExprOp::kNot;
       e->args = {inner};
@@ -378,6 +423,8 @@ class Parser {
     }
     if (Peek().IsPunct("(")) {
       Next();
+      const Level level(&depth_);
+      if (level.too_deep()) return TooDeep();
       KGNET_ASSIGN_OR_RETURN(ExprPtr inner, ParseExpr(q));
       KGNET_RETURN_IF_ERROR(Expect(")"));
       return inner;
@@ -389,6 +436,7 @@ class Parser {
   // '(' args ')').
   Result<ExprPtr> ParsePrimaryExpr() {
     const Token& t = Peek();
+    height_ = 1;
     if (t.kind == TokenKind::kVar) {
       Next();
       return Expr::Var(t.text);
@@ -422,15 +470,20 @@ class Parser {
       Next();
       if (Peek().IsPunct("(")) {
         Next();
+        const Level level(&depth_);
+        if (level.too_deep()) return TooDeep();
         std::vector<ExprPtr> args;
+        int height = 1;
         if (!Peek().IsPunct(")")) {
           while (true) {
             KGNET_ASSIGN_OR_RETURN(ExprPtr a, ParseCallArg());
+            height = std::max(height, 1 + height_);
             args.push_back(std::move(a));
             if (!Accept(",")) break;
           }
         }
         KGNET_RETURN_IF_ERROR(Expect(")"));
+        KGNET_RETURN_IF_ERROR(SetHeight(height));
         return Expr::Call(name, std::move(args));
       }
       // Bare pname used as an IRI constant in an expression.
@@ -455,6 +508,8 @@ class Parser {
 
   std::vector<Token> toks_;
   size_t pos_ = 0;
+  int depth_ = 0;   // open nesting levels (see kMaxNestingDepth)
+  int height_ = 0;  // height of the expression tree parsed last
   Token eof_;  // fallback when toks_ is empty / exhausted (kind == kEof)
 };
 

@@ -28,7 +28,16 @@
 
 namespace kgnet::sparql {
 
-/// Parses `text` into a Query.
+/// Deepest nesting ParseQuery accepts, counted across group patterns
+/// (`{`, OPTIONAL, UNION arms, sub-SELECTs) and expressions (parentheses,
+/// `!`, call arguments); it also caps the height of an expression tree,
+/// which `||`/`&&` chains grow without recursing. Parsing, planning,
+/// evaluation and serialization all recurse over these trees, so a
+/// hostile query of nested braces would otherwise overflow the stack.
+inline constexpr int kMaxNestingDepth = 128;
+
+/// Parses `text` into a Query. Nesting past kMaxNestingDepth is
+/// InvalidArgument.
 Result<Query> ParseQuery(std::string_view text);
 
 }  // namespace kgnet::sparql

@@ -179,11 +179,11 @@ inline std::string LocalExpectedResponse(core::SparqlMlService* service,
     if (!result.ok()) return BuildErrorResponse(id, result.status());
     return BuildQueryResponse(id, *result, nullptr);
   }
-  sparql::ExecInfo info;
   const rdf::Snapshot snapshot = service->engine().store()->OpenSnapshot();
-  auto result = service->engine().Execute(*parsed, snapshot, &info);
+  auto result = service->engine().Execute(*parsed, snapshot);
   if (!result.ok()) return BuildErrorResponse(id, result.status());
-  return BuildQueryResponse(id, *result, &info);
+  return BuildQueryResponse(id, *result, snapshot.epoch(),
+                            snapshot.delta_size());
 }
 
 }  // namespace kgnet::serving::testing

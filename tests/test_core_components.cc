@@ -327,6 +327,30 @@ TEST(JsonTest, RelaxedKeyLookup) {
   EXPECT_EQ(v->FindRelaxed("other"), nullptr);
 }
 
+TEST(JsonTest, NestingLimitIsExactAndAnInvalidArgument) {
+  auto arrays = [](int depth) {
+    return std::string(static_cast<size_t>(depth), '[') +
+           std::string(static_cast<size_t>(depth), ']');
+  };
+  auto objects = [](int depth) {
+    std::string s;
+    for (int i = 0; i < depth; ++i) s += "{\"k\":";
+    return s + "1" + std::string(static_cast<size_t>(depth), '}');
+  };
+  EXPECT_TRUE(ParseJson(arrays(kMaxJsonDepth)).ok());
+  EXPECT_TRUE(ParseJson(objects(kMaxJsonDepth)).ok());
+  for (const std::string& text :
+       {arrays(kMaxJsonDepth + 1), objects(kMaxJsonDepth + 1),
+        // A hostile frame's worth of brackets: rejected at the limit
+        // instead of recursing once per byte.
+        std::string(200 * 1024, '[')}) {
+    auto v = ParseJson(text);
+    ASSERT_FALSE(v.ok());
+    EXPECT_EQ(v.status().code(), StatusCode::kInvalidArgument)
+        << v.status();
+  }
+}
+
 TEST(JsonTest, RejectsMalformed) {
   EXPECT_FALSE(ParseJson("{").ok());
   EXPECT_FALSE(ParseJson("{a: }").ok());

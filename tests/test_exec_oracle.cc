@@ -693,6 +693,55 @@ TEST(ExecOracleTest, DistinctKeepsUnboundApartFromEmptyLiteral) {
 // tracks the updated graph — both sides differentially checked against
 // the brute-force reference on their respective fact sets, across
 // interleaved insert/erase batches and a mid-sequence compaction.
+// Plain reads over the wire run without an ExecInfo, so single-pattern
+// queries take the fast path there; with one, the planned operator tree
+// runs. Both must emit the same rows in the same order, on clean and
+// dirty stores, in both index sets — or the wire bytes would depend on
+// whether anyone asked for a plan.
+TEST(ExecOracleTest, SinglePatternFastPathMatchesPlannedTreeRowForRow) {
+  for (uint64_t seed = 9300; seed < 9306; ++seed) {
+    tensor::Rng rng(seed);
+    rdf::TripleStore::Options sopts;
+    if (seed % 2 == 1)
+      sopts.index_set = rdf::TripleStore::Options::IndexSet::kClassicTrio;
+    rdf::TripleStore store(sopts);
+    auto node = [&] { return "n" + std::to_string(rng.NextUint(8)); };
+    auto pred = [&] { return "p" + std::to_string(rng.NextUint(3)); };
+    for (int i = 0; i < 60; ++i) store.InsertIris(node(), pred(), node());
+    if (seed % 3 == 0) store.Compact();
+    for (int i = 0; i < 10; ++i) store.InsertIris(node(), pred(), node());
+
+    QueryEngine engine(&store);
+    const std::string shapes[] = {
+        "SELECT * WHERE { ?s ?p ?o }",
+        "SELECT ?o ?s WHERE { ?s <p1> ?o }",
+        "SELECT ?p WHERE { <n2> ?p ?o }",
+        "SELECT ?s WHERE { ?s ?p <n3> }",
+        "SELECT ?p WHERE { <n1> ?p <n4> }",
+        "SELECT ?o WHERE { <n5> <p0> ?o }",
+        "SELECT ?s WHERE { ?s <p2> <n6> }",
+        "SELECT * WHERE { <n0> <p1> <n7> }",
+        "SELECT ?x WHERE { ?x <p0> ?x }",
+        "SELECT DISTINCT ?s WHERE { ?s ?p ?o } LIMIT 5 OFFSET 2",
+        "SELECT ?s ?o WHERE { ?s <p1> ?o } LIMIT 3",
+        "ASK { ?s <p2> ?o }",
+        "ASK { <n7> ?p <n7> }",
+    };
+    for (const std::string& text : shapes) {
+      auto q = ParseQuery(text);
+      ASSERT_TRUE(q.ok()) << q.status() << "\n" << text;
+      const rdf::Snapshot snap = store.OpenSnapshot();
+      auto fast = engine.Execute(*q, snap);
+      ExecInfo info;
+      auto planned = engine.Execute(*q, snap, &info);
+      ASSERT_TRUE(fast.ok() && planned.ok()) << text;
+      EXPECT_EQ(fast->columns, planned->columns) << text;
+      EXPECT_EQ(fast->rows, planned->rows) << "seed=" << seed << "\n" << text;
+      EXPECT_EQ(fast->ask_result, planned->ask_result) << text;
+    }
+  }
+}
+
 TEST(ExecOracleTest, SnapshotQueriesSurviveInterleavedMutationBatches) {
   for (uint64_t seed = 9200; seed < 9212; ++seed) {
     tensor::Rng rng(seed);

@@ -176,8 +176,13 @@ TEST(SamplerTest, SubgraphAdjacencySizesMatch) {
 
 // -------------------------------------------------- node classification --
 
+// gtest prints a parameter without a printer as its raw bytes, and
+// gtest_discover_tests folds that dump into the ctest name. The explicit
+// zero field fills what would be padding, so the names are identical from
+// build to build instead of carrying leftover stack bytes.
 struct NcCase {
   GmlMethod method;
+  uint32_t zero_pad;
   double min_accuracy;
 };
 
@@ -207,11 +212,11 @@ TEST_P(NodeClassifierTest, LearnsPlantedVenueSignal) {
 
 INSTANTIATE_TEST_SUITE_P(
     Methods, NodeClassifierTest,
-    ::testing::Values(NcCase{GmlMethod::kGcn, 0.30},
-                      NcCase{GmlMethod::kGraphSage, 0.35},
-                      NcCase{GmlMethod::kRgcn, 0.45},
-                      NcCase{GmlMethod::kGraphSaint, 0.45},
-                      NcCase{GmlMethod::kShadowSaint, 0.45}),
+    ::testing::Values(NcCase{GmlMethod::kGcn, 0, 0.30},
+                      NcCase{GmlMethod::kGraphSage, 0, 0.35},
+                      NcCase{GmlMethod::kRgcn, 0, 0.45},
+                      NcCase{GmlMethod::kGraphSaint, 0, 0.45},
+                      NcCase{GmlMethod::kShadowSaint, 0, 0.45}),
     [](const ::testing::TestParamInfo<NcCase>& info) {
       std::string name = GmlMethodName(info.param.method);
       name.erase(std::remove(name.begin(), name.end(), '-'), name.end());
@@ -276,8 +281,10 @@ TEST(NodeClassifierTest, TrainFailsWithoutLabels) {
 
 // ------------------------------------------------------ link prediction --
 
+// Explicit zero field in place of padding: see NcCase.
 struct LpCase {
   GmlMethod method;
+  uint32_t zero_pad;
   double min_hits10;
 };
 
@@ -309,11 +316,11 @@ TEST_P(LinkPredictorTest, BeatsRandomRanking) {
 
 INSTANTIATE_TEST_SUITE_P(
     Methods, LinkPredictorTest,
-    ::testing::Values(LpCase{GmlMethod::kTransE, 0.25},
-                      LpCase{GmlMethod::kDistMult, 0.25},
-                      LpCase{GmlMethod::kComplEx, 0.25},
-                      LpCase{GmlMethod::kRotatE, 0.25},
-                      LpCase{GmlMethod::kMorse, 0.25}),
+    ::testing::Values(LpCase{GmlMethod::kTransE, 0, 0.25},
+                      LpCase{GmlMethod::kDistMult, 0, 0.25},
+                      LpCase{GmlMethod::kComplEx, 0, 0.25},
+                      LpCase{GmlMethod::kRotatE, 0, 0.25},
+                      LpCase{GmlMethod::kMorse, 0, 0.25}),
     [](const ::testing::TestParamInfo<LpCase>& info) {
       return GmlMethodName(info.param.method);
     });

@@ -229,6 +229,40 @@ TEST_F(ServingHardeningTest, WrongTypedFieldsRejected) {
   ExpectStillServing(&scope);
 }
 
+TEST_F(ServingHardeningTest, DeeplyNestedFrameAndQueriesGetErrors) {
+  // Without the nesting limits each of these would recurse once per
+  // level and overflow the worker's stack, killing the process.
+  KgNet kg;
+  Seed(&kg);
+  ScopedServer scope(&kg.service());
+  ASSERT_TRUE(scope.start_status().ok());
+  KgClient client;
+  ASSERT_TRUE(scope.Connect(&client).ok());
+  auto frame = client.Call(std::string(200 * 1024, '['));
+  ASSERT_TRUE(frame.ok()) << frame.status();
+  EXPECT_NE(frame->find("\"ok\":false"), std::string::npos);
+  EXPECT_NE(frame->find("InvalidArgument"), std::string::npos);
+  EXPECT_NE(frame->find("nesting"), std::string::npos) << *frame;
+  EXPECT_TRUE(client.Ping().ok());
+
+  std::string chain = "?o = 1";
+  for (int i = 0; i < 100000; ++i) chain += " || ?o = 1";
+  const std::string hostile[] = {
+      "SELECT * WHERE " + std::string(100000, '{'),
+      "SELECT * WHERE { ?s ?p ?o . FILTER(" + std::string(100000, '(') +
+          "?o" + std::string(100000, ')') + ") }",
+      "SELECT * WHERE { ?s ?p ?o . FILTER(" + chain + ") }",
+  };
+  for (const std::string& query : hostile) {
+    auto raw = client.Call(BuildQueryRequest(7, query));
+    ASSERT_TRUE(raw.ok()) << raw.status();
+    EXPECT_NE(raw->find("\"ok\":false"), std::string::npos);
+    EXPECT_NE(raw->find("InvalidArgument"), std::string::npos) << *raw;
+    EXPECT_TRUE(client.Ping().ok());
+  }
+  ExpectStillServing(&scope);
+}
+
 TEST_F(ServingHardeningTest, TruncatedFramesAndAbruptCloses) {
   KgNet kg;
   Seed(&kg);

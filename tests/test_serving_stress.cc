@@ -273,5 +273,84 @@ TEST(ServingStressTest, ChaoticClientsNeverWedgeTheServer) {
   EXPECT_EQ(r->result.NumRows(), 1u);
 }
 
+TEST(ServingStressTest, ReadersNeverSeePartOfAnUpdateRequest) {
+  // One client sends multi-triple INSERT DATA and DELETE requests over
+  // the wire; every read must see each request whole or not at all, so
+  // the visible row count is always a whole number of batches.
+  constexpr int kTriplesPerRequest = 25;
+  constexpr auto kBatch = static_cast<size_t>(kTriplesPerRequest);
+  constexpr int kRounds = 300;
+  constexpr int kLive = 3;
+  KgNet kg;
+  ServerOptions options;
+  options.num_workers = 4;
+  ScopedServer scope(&kg.service(), options);
+  ASSERT_TRUE(scope.start_status().ok()) << scope.start_status();
+
+  auto batch_triples = [](int round) {
+    std::string out;
+    for (int j = 0; j < kTriplesPerRequest; ++j)
+      out += "<" + BatchItem(round, j) + "> <upd> <" + BatchValue(round) +
+             "> . ";
+    return out;
+  };
+  std::atomic<bool> writer_done{false};
+  std::atomic<int> failures{0};
+  std::thread writer([&] {
+    KgClient client;
+    if (!scope.Connect(&client).ok()) {
+      ++failures;
+      writer_done.store(true);
+      return;
+    }
+    for (int r = 0; r < kRounds; ++r) {
+      auto ins = client.Query("INSERT DATA { " + batch_triples(r) + "}");
+      if (!ins.ok() || ins->result.num_inserted != kBatch)
+        ++failures;
+      if (r < kLive) continue;
+      auto del = client.Query("DELETE { " + batch_triples(r - kLive) +
+                              "} WHERE { }");
+      if (!del.ok() || del->result.num_deleted != kBatch)
+        ++failures;
+    }
+    writer_done.store(true);
+  });
+
+  std::atomic<int> violations{0};
+  std::atomic<int> reads{0};
+  std::vector<std::thread> readers;
+  for (int c = 0; c < 2; ++c) {
+    readers.emplace_back([&] {
+      KgClient client;
+      if (!scope.Connect(&client).ok()) {
+        ++failures;
+        return;
+      }
+      for (int i = 0; !writer_done.load(); ++i) {
+        // Mostly a cheap lookup, whose snapshot epoch must sit on a
+        // request boundary (each request moves it by its whole batch);
+        // every eighth read also counts the batch rows it sees.
+        const bool scan = i % 8 == 0;
+        auto resp = client.Query(scan ? "SELECT ?s ?o WHERE { ?s <upd> ?o . }"
+                                      : "SELECT ?o WHERE { <none> <upd> ?o . }");
+        if (!resp.ok()) {
+          ++failures;
+          continue;
+        }
+        ++reads;
+        if (resp->epoch % kBatch != 0 ||
+            resp->result.NumRows() % kBatch != 0)
+          ++violations;
+      }
+    });
+  }
+  writer.join();
+  for (auto& t : readers) t.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(violations.load(), 0);
+  EXPECT_GT(reads.load(), 0);
+  EXPECT_EQ(kg.store().size(), kLive * kBatch);
+}
+
 }  // namespace
 }  // namespace kgnet::serving

@@ -13,6 +13,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
+#include <ostream>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -176,6 +179,191 @@ TEST(SnapshotStressTest, PinnedSnapshotSurvivesManyCompactionCycles) {
   EXPECT_EQ(store.GetStats().live_generations, 2);
   pinned = Snapshot();  // drop the pin
   EXPECT_EQ(store.GetStats().live_generations, 1);
+}
+
+// ------------------------------------------- incremental delta views --
+
+/// Field-by-field comparison of two delta views, so a mismatch names the
+/// order and field; the closing == pins the whole value.
+void ExpectSameView(const DeltaView& got, const DeltaView& want, int step) {
+  EXPECT_EQ(got.epoch(), want.epoch()) << "step " << step;
+  EXPECT_EQ(got.num_inserts(), want.num_inserts()) << "step " << step;
+  EXPECT_EQ(got.num_tombstones(), want.num_tombstones()) << "step " << step;
+  for (int oi = 0; oi < kNumIndexOrders; ++oi) {
+    const auto order = static_cast<IndexOrder>(oi);
+    const DeltaView::OrderDelta& g = got.order_delta(order);
+    const DeltaView::OrderDelta& w = want.order_delta(order);
+    EXPECT_EQ(g.keys, w.keys) << IndexOrderName(order) << " step " << step;
+    EXPECT_EQ(g.tombstone, w.tombstone)
+        << IndexOrderName(order) << " step " << step;
+    EXPECT_EQ(g.ins_before, w.ins_before)
+        << IndexOrderName(order) << " step " << step;
+  }
+  EXPECT_TRUE(got == want) << "step " << step;
+}
+
+struct ViewCase {
+  TripleStore::Options::IndexSet index_set;
+  size_t compact_threshold;
+  uint64_t seed;
+};
+
+// Names the case in test listings (and so in ctest test names).
+void PrintTo(const ViewCase& vc, std::ostream* os) {
+  *os << (vc.index_set == TripleStore::Options::IndexSet::kAllSix ? "AllSix"
+                                                                  : "Trio")
+      << "_threshold" << vc.compact_threshold << "_seed" << vc.seed;
+}
+
+/// Seeded random single inserts and erases (no-op ones included),
+/// erase-then-reinsert runs, insert and erase batches (with duplicates),
+/// explicit and writer-triggered compactions. After every step the view
+/// a snapshot gets — extended from the previous step's cached view —
+/// must equal the from-scratch rebuild of the whole log, and the store
+/// must match a plain membership model.
+class SnapshotStressViewTest : public ::testing::TestWithParam<ViewCase> {};
+
+TEST_P(SnapshotStressViewTest, IncrementalViewMatchesRebuildAfterEveryStep) {
+  const ViewCase vc = GetParam();
+  TripleStore::Options opts;
+  opts.index_set = vc.index_set;
+  opts.delta_compact_threshold = vc.compact_threshold;
+  TripleStore store(opts);
+  const std::vector<Triple> universe = BuildUniverse(&store, 7, 3, 6);
+  std::vector<bool> present(universe.size(), false);
+  tensor::Rng rng(vc.seed);
+  auto pick = [&] { return rng.NextUint(universe.size()); };
+  auto single = [&](size_t k, bool erase) {
+    const bool applied =
+        erase ? store.Erase(universe[k]) : store.Insert(universe[k]);
+    EXPECT_EQ(applied, present[k] == erase);
+    present[k] = !erase;
+  };
+  // Half the universe in the first generation, so erases and
+  // re-inserts of generation keys happen from the start.
+  for (size_t k = 0; k < universe.size(); k += 2) single(k, false);
+  store.Compact();
+
+  constexpr int kSteps = 1500;
+  for (int step = 0; step < kSteps; ++step) {
+    const uint64_t action = rng.NextUint(10);
+    if (action < 4) {
+      const uint64_t n = 1 + rng.NextUint(6);
+      for (uint64_t i = 0; i < n; ++i) single(pick(), rng.NextUint(2) == 0);
+    } else if (action < 5) {
+      const size_t k = pick();  // erase-then-reinsert (or the reverse)
+      single(k, present[k]);
+      single(k, present[k]);
+    } else if (action < 9) {
+      const bool erase = action == 8 || rng.NextUint(2) == 0;
+      std::vector<Triple> batch;
+      std::vector<bool> after = present;
+      size_t want = 0;
+      const uint64_t n = 1 + rng.NextUint(12);
+      for (uint64_t i = 0; i < n; ++i) {
+        const size_t k = pick();
+        batch.push_back(universe[k]);
+        if (after[k] == erase) ++want;
+        after[k] = !erase;
+      }
+      EXPECT_EQ(store.Apply(erase ? TripleStore::Mutation::kErase
+                                  : TripleStore::Mutation::kInsert,
+                            batch),
+                want)
+          << "step " << step;
+      present = std::move(after);
+    } else {
+      store.Compact();
+    }
+
+    const Snapshot snap = store.OpenSnapshot();
+    const std::shared_ptr<const DeltaView> oracle = store.RebuildDeltaView();
+    ASSERT_NE(snap.delta_view(), nullptr);
+    ExpectSameView(*snap.delta_view(), *oracle, step);
+    EXPECT_EQ(snap.epoch(), store.epoch());
+    size_t live = 0;
+    for (bool b : present) live += b ? 1 : 0;
+    ASSERT_EQ(snap.size(), live) << "step " << step;
+    if (::testing::Test::HasFailure()) return;
+  }
+  for (size_t k = 0; k < universe.size(); ++k)
+    EXPECT_EQ(store.Contains(universe[k]), static_cast<bool>(present[k]));
+  EXPECT_GT(store.GetStats().compactions, 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    IndexSetsAndThresholds, SnapshotStressViewTest,
+    ::testing::Values(
+        ViewCase{TripleStore::Options::IndexSet::kAllSix, 4096, 11},
+        ViewCase{TripleStore::Options::IndexSet::kAllSix, 24, 12},
+        ViewCase{TripleStore::Options::IndexSet::kClassicTrio, 4096, 13},
+        ViewCase{TripleStore::Options::IndexSet::kClassicTrio, 24, 14}));
+
+TEST(SnapshotStressTest, ReadersNeverSeePartOfABatch) {
+  // The writer inserts and erases whole batches of kBatch triples (one
+  // subject each) with Apply while a compactor runs; every snapshot must
+  // hold whole batches only, at an epoch on a batch boundary.
+  constexpr size_t kBatch = 8;
+  TripleStore::Options opts;
+  opts.delta_compact_threshold = 64;
+  TripleStore store(opts);
+  const std::vector<Triple> universe = BuildUniverse(&store, 48, 1, kBatch);
+  auto batch_of = [&](size_t b) {
+    return std::span<const Triple>(universe).subspan(b * kBatch, kBatch);
+  };
+  const size_t num_batches = universe.size() / kBatch;
+
+  std::atomic<bool> writer_done{false};
+  std::thread writer([&] {
+    constexpr size_t kLive = 5;
+    for (size_t round = 0; round < 1200; ++round) {
+      EXPECT_EQ(store.Apply(TripleStore::Mutation::kInsert,
+                            batch_of(round % num_batches)),
+                kBatch);
+      if (round >= kLive) {
+        EXPECT_EQ(store.Apply(TripleStore::Mutation::kErase,
+                              batch_of((round - kLive) % num_batches)),
+                  kBatch);
+      }
+    }
+    writer_done.store(true, std::memory_order_release);
+  });
+  std::thread compactor([&] {
+    while (!writer_done.load(std::memory_order_acquire)) store.Compact();
+  });
+  std::vector<std::thread> readers;
+  std::atomic<int> snapshots{0};
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&] {
+      while (!writer_done.load(std::memory_order_acquire)) {
+        const Snapshot snap = store.OpenSnapshot();
+        ++snapshots;
+        EXPECT_EQ(snap.epoch() % kBatch, 0u) << snap.epoch();
+        EXPECT_EQ(snap.size() % kBatch, 0u) << snap.size();
+        size_t rows = 0;
+        TermId subject = kNullTermId;
+        size_t run = 0;
+        TripleCursor c = snap.OpenCursor(IndexOrder::kSpo, TriplePattern());
+        Triple t;
+        while (c.Next(&t)) {
+          ++rows;
+          if (t.s != subject) {
+            EXPECT_TRUE(run == 0 || run == kBatch) << run;
+            subject = t.s;
+            run = 0;
+          }
+          ++run;
+        }
+        EXPECT_TRUE(run == 0 || run == kBatch) << run;
+        EXPECT_EQ(rows, snap.size());
+      }
+    });
+  }
+  writer.join();
+  compactor.join();
+  for (std::thread& t : readers) t.join();
+  EXPECT_GT(snapshots.load(), 0);
+  EXPECT_EQ(store.size(), 5 * kBatch);
 }
 
 }  // namespace

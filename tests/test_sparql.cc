@@ -87,6 +87,93 @@ TEST(ParserTest, ParsesSemicolonPredicateLists) {
   EXPECT_EQ(q->where.triples[1].p.term.lexical, "p2");
 }
 
+/// "SELECT * WHERE " plus `depth` nested groups around one pattern.
+std::string NestedGroups(int depth) {
+  const auto n = static_cast<size_t>(depth);
+  return "SELECT * WHERE " + std::string(n, '{') + " ?s <p> ?o . " +
+         std::string(n, '}');
+}
+
+/// A query whose FILTER expression holds `inner` inside one group, i.e.
+/// at nesting level 1.
+std::string WithFilter(const std::string& inner) {
+  return "SELECT * WHERE { ?s <p> ?o . FILTER(" + inner + ") }";
+}
+
+std::string Repeat(const std::string& piece, int n) {
+  std::string out;
+  for (int i = 0; i < n; ++i) out += piece;
+  return out;
+}
+
+void ExpectTooDeep(const std::string& text) {
+  auto q = ParseQuery(text);
+  ASSERT_FALSE(q.ok()) << text.substr(0, 80);
+  EXPECT_EQ(q.status().code(), StatusCode::kInvalidArgument) << q.status();
+}
+
+TEST(ParserTest, GroupNestingLimitIsExact) {
+  EXPECT_TRUE(ParseQuery(NestedGroups(kMaxNestingDepth)).ok());
+  ExpectTooDeep(NestedGroups(kMaxNestingDepth + 1));
+  const std::string optionals =
+      Repeat("OPTIONAL { ?s <p> ?o . ", kMaxNestingDepth - 1) +
+      std::string(static_cast<size_t>(kMaxNestingDepth - 1), '}');
+  EXPECT_TRUE(ParseQuery("SELECT * WHERE { " + optionals + " }").ok());
+  ExpectTooDeep("SELECT * WHERE { { " + optionals + " } }");
+  ExpectTooDeep("SELECT * WHERE " + std::string(100000, '{'));
+}
+
+TEST(ParserTest, ExpressionNestingLimitIsExact) {
+  // The group is level 1, so an expression may open kMaxNestingDepth - 1
+  // more levels; its tree may be kMaxNestingDepth high.
+  const int inner = kMaxNestingDepth - 1;
+  const auto n = static_cast<size_t>(inner);
+  EXPECT_TRUE(ParseQuery(WithFilter(std::string(n, '(') + "?o" +
+                                    std::string(n, ')')))
+                  .ok());
+  ExpectTooDeep(WithFilter(std::string(n + 1, '(') + "?o" +
+                           std::string(n + 1, ')')));
+  EXPECT_TRUE(ParseQuery(WithFilter(std::string(n, '!') + "?o")).ok());
+  ExpectTooDeep(WithFilter(std::string(n + 1, '!') + "?o"));
+  EXPECT_TRUE(ParseQuery(WithFilter(Repeat("f(", inner) + "?o" +
+                                    std::string(n, ')')))
+                  .ok());
+  ExpectTooDeep(
+      WithFilter(Repeat("f(", inner + 1) + "?o" + std::string(n + 1, ')')));
+  ExpectTooDeep(WithFilter(std::string(100000, '(')));
+}
+
+TEST(ParserTest, OperatorChainHeightLimitIsExact) {
+  // `||` and `&&` chains parse in a loop but build a left-deep tree: k
+  // comparisons joined by k - 1 operators stand k + 1 high.
+  auto chain = [](const char* op, int k) {
+    std::string out = "?o = 1";
+    for (int i = 1; i < k; ++i) out += std::string(" ") + op + " ?o = 1";
+    return out;
+  };
+  for (const char* op : {"||", "&&"}) {
+    EXPECT_TRUE(ParseQuery(WithFilter(chain(op, kMaxNestingDepth - 1))).ok())
+        << op;
+    ExpectTooDeep(WithFilter(chain(op, kMaxNestingDepth)));
+    ExpectTooDeep(WithFilter(chain(op, 100000)));
+  }
+}
+
+TEST(ParserTest, QueriesAtTheNestingLimitExecute) {
+  rdf::TripleStore store;
+  store.InsertIris("a", "p", "b");
+  QueryEngine engine(&store);
+  auto r = engine.ExecuteString(NestedGroups(kMaxNestingDepth));
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_EQ(r->NumRows(), 1u);
+  // 126 negations (an even count) around a parenthesized comparison:
+  // the group, the negations and the parentheses make 128 levels.
+  const auto n = static_cast<size_t>(kMaxNestingDepth - 2);
+  r = engine.ExecuteString(WithFilter(std::string(n, '!') + "(?o = <b>)"));
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_EQ(r->NumRows(), 1u);
+}
+
 TEST(ParserTest, ParsesFilters) {
   auto q = ParseQuery(
       "SELECT ?s WHERE { ?s <p> ?v . FILTER(?v > 3 && ?v != 7) }");

@@ -39,6 +39,38 @@ class SparqlMlAnalysisTest : public ::testing::Test {
   KgNet kg_;
 };
 
+TEST_F(SparqlMlAnalysisTest, NestingPastTheLimitIsAnErrorOnEveryPath) {
+  // A node-classifier pattern wrapped in `inner` extra groups.
+  auto nested = [](int inner) {
+    const auto n = static_cast<size_t>(inner);
+    return std::string(kPrefixes) + "SELECT ?venue WHERE {" +
+           std::string(n, '{') +
+           " ?paper a dblp:Publication . ?paper ?clf ?venue ."
+           " ?clf a kgnet:NodeClassifier ."
+           " ?clf kgnet:TargetNode dblp:Publication ."
+           " ?clf kgnet:NodeLabel dblp:publishedIn . " +
+           std::string(n, '}') + "}";
+  };
+  // At the limit the groups flatten and the UDP is still found.
+  EXPECT_EQ(Analyze(nested(sparql::kMaxNestingDepth - 1)).udps.size(), 1u);
+  const std::string too_deep = nested(sparql::kMaxNestingDepth);
+  auto run = kg_.service().Execute(too_deep);
+  ASSERT_FALSE(run.ok());
+  EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument);
+  auto explain = kg_.service().Explain(too_deep);
+  ASSERT_FALSE(explain.ok());
+  EXPECT_EQ(explain.status().code(), StatusCode::kInvalidArgument);
+  // The TrainGML payload is JSON: its nesting is capped the same way.
+  auto train = kg_.service().Execute(
+      std::string(kPrefixes) +
+      "INSERT INTO <kgnet> { ?s ?p ?o } WHERE { SELECT * FROM "
+      "kgnet.TrainGML(" +
+      std::string(100000, '[') + ") }");
+  ASSERT_FALSE(train.ok());
+  EXPECT_EQ(train.status().code(), StatusCode::kInvalidArgument)
+      << train.status();
+}
+
 TEST_F(SparqlMlAnalysisTest, PlainSparqlHasNoUdps) {
   auto a = Analyze(std::string(kPrefixes) +
                    "SELECT ?t WHERE { ?p dblp:title ?t . }");
