@@ -7,7 +7,10 @@
 // reference evaluator (nested loops over the full triple list, no
 // indexes, no planner). Both executor modes are checked: kStreaming
 // against the oracle and against kMaterialized, so a divergence pins the
-// bug to the new operator tree rather than to shared helpers.
+// bug to the new operator tree rather than to shared helpers. SPARQL
+// updates get the same treatment (the update oracle at the end): the
+// post-update store is compared triple for triple against the reference
+// solutions instantiated into the update template.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -278,6 +281,31 @@ struct GenOptions {
   bool distinct = false;   // SELECT DISTINCT
 };
 
+/// The WHERE group of `c` — patterns, filters, UNION chains, OPTIONALs —
+/// as SPARQL text, braces included.
+std::string GroupSparql(const Case& c) {
+  std::string q = "{ ";
+  for (const RPattern& p : c.patterns)
+    q += NodeSparql(p.s) + " " + NodeSparql(p.p) + " " + NodeSparql(p.o) +
+         " . ";
+  for (const RFilter& f : c.filters)
+    q += "FILTER(" + NodeSparql(f.lhs) + " " + OpSparql(f.op) + " " +
+         NodeSparql(f.rhs) + ") ";
+  for (const auto& alternatives : c.unions) {
+    for (size_t i = 0; i < alternatives.size(); ++i) {
+      if (i > 0) q += "UNION ";
+      const RPattern& p = alternatives[i];
+      q += "{ " + NodeSparql(p.s) + " " + NodeSparql(p.p) + " " +
+           NodeSparql(p.o) + " . } ";
+    }
+  }
+  for (const RPattern& p : c.optionals)
+    q += "OPTIONAL { " + NodeSparql(p.s) + " " + NodeSparql(p.p) + " " +
+         NodeSparql(p.o) + " . } ";
+  q += "}";
+  return q;
+}
+
 Case GenerateCase(tensor::Rng* rng, const GenOptions& opts) {
   Case c;
   const int nodes = 4 + static_cast<int>(rng->NextUint(10));
@@ -414,26 +442,8 @@ Case GenerateCase(tensor::Rng* rng, const GenOptions& opts) {
   }
   if (opts.distinct) c.distinct = rng->NextFloat() < 0.8f;
 
-  std::string q = c.distinct ? "SELECT DISTINCT * WHERE { "
-                             : "SELECT * WHERE { ";
-  for (const RPattern& p : c.patterns)
-    q += NodeSparql(p.s) + " " + NodeSparql(p.p) + " " + NodeSparql(p.o) +
-         " . ";
-  for (const RFilter& f : c.filters)
-    q += "FILTER(" + NodeSparql(f.lhs) + " " + OpSparql(f.op) + " " +
-         NodeSparql(f.rhs) + ") ";
-  for (const auto& alternatives : c.unions) {
-    for (size_t i = 0; i < alternatives.size(); ++i) {
-      if (i > 0) q += "UNION ";
-      const RPattern& p = alternatives[i];
-      q += "{ " + NodeSparql(p.s) + " " + NodeSparql(p.p) + " " +
-           NodeSparql(p.o) + " . } ";
-    }
-  }
-  for (const RPattern& p : c.optionals)
-    q += "OPTIONAL { " + NodeSparql(p.s) + " " + NodeSparql(p.p) + " " +
-         NodeSparql(p.o) + " . } ";
-  q += "}";
+  std::string q = c.distinct ? "SELECT DISTINCT * WHERE " : "SELECT * WHERE ";
+  q += GroupSparql(c);
   if (c.limit >= 0) q += " LIMIT " + std::to_string(c.limit);
   if (c.offset > 0) q += " OFFSET " + std::to_string(c.offset);
   c.sparql = q;
@@ -917,6 +927,295 @@ TEST(ExecOracleTest, ParallelOperatorsIdenticalAcrossThreadCounts) {
     EXPECT_TRUE(serial == run(threads, /*parallel_ops=*/true))
         << "parallel executor diverged at " << threads << " threads";
   }
+}
+
+
+// --------------------------------------------------------- update oracle --
+//
+// SPARQL updates checked the same way: each seeded case builds a store
+// from the case's facts, runs one INSERT DATA / INSERT {..} WHERE {..} /
+// DELETE {..} WHERE {..}, and compares the post-update store triple for
+// triple — plus num_inserted/num_deleted — against the brute-force
+// evaluator's solutions instantiated into the template over the
+// pre-update facts.
+
+enum class UpdateKind { kInsertData, kInsertWhere, kDeleteWhere };
+
+struct UpdateCase {
+  Case where;  // the pre-update facts and the WHERE clause
+  UpdateKind kind = UpdateKind::kInsertData;
+  std::vector<RPattern> tmpl;  // ground for INSERT DATA
+  std::string sparql;
+};
+
+Term ToTerm(const RTerm& t) {
+  return t.iri ? Term::Iri(t.lex)
+               : Term::TypedLiteral(
+                     t.lex, "http://www.w3.org/2001/XMLSchema#integer");
+}
+
+void CollectVars(const std::vector<RPattern>& patterns,
+                 std::set<std::string>* out) {
+  for (const RPattern& p : patterns)
+    for (const RNode* n : {&p.s, &p.p, &p.o})
+      if (n->is_var) out->insert(n->var);
+}
+
+UpdateCase GenerateUpdateCase(tensor::Rng* rng, const GenOptions& opts,
+                              UpdateKind kind) {
+  UpdateCase u;
+  u.kind = kind;
+  u.where = GenerateCase(rng, opts);
+  const Case& c = u.where;
+  // Constants both hit the generated graph (n0-n13, p0-p4) and extend it
+  // with fresh predicates (q0-q2).
+  auto node = [&] {
+    return RNode::Const(RTerm{true, "n" + std::to_string(rng->NextUint(14))});
+  };
+  auto pred = [&] {
+    const char* prefix = rng->NextFloat() < 0.5f ? "q" : "p";
+    return RNode::Const(
+        RTerm{true, prefix + std::to_string(rng->NextUint(3))});
+  };
+  auto render = [&](const std::string& head) {
+    std::string q = head + " { ";
+    for (const RPattern& p : u.tmpl)
+      q += NodeSparql(p.s) + " " + NodeSparql(p.p) + " " + NodeSparql(p.o) +
+           " . ";
+    return q + "}";
+  };
+
+  if (kind == UpdateKind::kInsertData) {
+    const int n = 1 + static_cast<int>(rng->NextUint(6));
+    for (int i = 0; i < n; ++i) {
+      RPattern t;
+      if (rng->NextFloat() < 0.4f) {
+        // An existing fact: a duplicate insert the store must skip.
+        const RTriple& f = c.facts[rng->NextUint(c.facts.size())];
+        t = {RNode::Const(f.s), RNode::Const(f.p), RNode::Const(f.o)};
+      } else {
+        t.s = node();
+        t.p = pred();
+        t.o = rng->NextFloat() < 0.2f
+                  ? RNode::Const(
+                        RTerm{false, std::to_string(rng->NextUint(10))})
+                  : node();
+      }
+      u.tmpl.push_back(std::move(t));
+    }
+    // A repeat inside the batch counts once.
+    if (rng->NextFloat() < 0.3f)
+      u.tmpl.push_back(u.tmpl[rng->NextUint(u.tmpl.size())]);
+    u.sparql = render("INSERT DATA");
+    return u;
+  }
+
+  // Template variables: mostly ones every WHERE solution binds; some
+  // bound only by a UNION branch or OPTIONAL group, and a rare one no
+  // pattern binds — both must fail the update when a solution leaves
+  // them unbound.
+  std::set<std::string> core;
+  CollectVars(c.patterns, &core);
+  std::set<std::string> partial;
+  for (const auto& alternatives : c.unions) CollectVars(alternatives, &partial);
+  CollectVars(c.optionals, &partial);
+  for (const std::string& v : core) partial.erase(v);
+  const std::vector<std::string> core_vars(core.begin(), core.end());
+  const std::vector<std::string> partial_vars(partial.begin(), partial.end());
+  auto var_or = [&](RNode fallback) {
+    const float r = rng->NextFloat();
+    if (!core_vars.empty() && r < 0.75f)
+      return RNode::Var(core_vars[rng->NextUint(core_vars.size())]);
+    if (!partial_vars.empty() && r < 0.85f)
+      return RNode::Var(partial_vars[rng->NextUint(partial_vars.size())]);
+    if (r < 0.88f) return RNode::Var("zz");
+    return fallback;
+  };
+  const int n = 1 + static_cast<int>(rng->NextUint(2));
+  for (int i = 0; i < n; ++i) {
+    RPattern t;
+    if (kind == UpdateKind::kDeleteWhere && rng->NextFloat() < 0.5f) {
+      // A WHERE pattern's own matches: deletions that hit.
+      t = c.patterns[rng->NextUint(c.patterns.size())];
+    } else {
+      t.s = var_or(node());
+      t.p = pred();
+      t.o = var_or(node());
+    }
+    u.tmpl.push_back(std::move(t));
+  }
+  u.sparql = render(kind == UpdateKind::kInsertWhere ? "INSERT" : "DELETE") +
+             " WHERE " + GroupSparql(c);
+  return u;
+}
+
+/// The reference outcome: the template instantiated over every
+/// brute-force solution of the WHERE clause (INSERT DATA: once, over no
+/// bindings), or `unbound` when some solution leaves a template variable
+/// unbound.
+struct RefUpdate {
+  bool unbound = false;
+  std::vector<RTriple> triples;
+};
+
+RefUpdate RefInstantiate(const UpdateCase& u) {
+  const Case& c = u.where;
+  const std::vector<Binding> sols =
+      u.kind == UpdateKind::kInsertData
+          ? std::vector<Binding>{Binding{}}
+          : RefEval(c.patterns, c.filters, c.unions, c.optionals, c.facts);
+  RefUpdate out;
+  for (const Binding& sol : sols) {
+    for (const RPattern& p : u.tmpl) {
+      const RTerm* s = ResolveRef(p.s, sol);
+      const RTerm* pr = ResolveRef(p.p, sol);
+      const RTerm* o = ResolveRef(p.o, sol);
+      if (s == nullptr || pr == nullptr || o == nullptr) {
+        out.unbound = true;
+        return out;
+      }
+      out.triples.push_back({*s, *pr, *o});
+    }
+  }
+  return out;
+}
+
+/// Every visible triple of `store`, rendered and sorted.
+std::vector<std::string> StoreFacts(const rdf::TripleStore& store) {
+  std::vector<std::string> out;
+  auto render = [&](rdf::TermId id) {
+    const Term& t = store.dict().Lookup(id);
+    return (t.is_iri() ? "i:" : "l:") + t.lexical;
+  };
+  for (const rdf::Triple& t : store.OpenSnapshot().Match(rdf::TriplePattern{}))
+    out.push_back(render(t.s) + " " + render(t.p) + " " + render(t.o));
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+std::vector<std::string> RenderFacts(const std::set<RTriple>& facts) {
+  std::vector<std::string> out;
+  auto render = [](const RTerm& t) { return (t.iri ? "i:" : "l:") + t.lex; };
+  for (const RTriple& f : facts)
+    out.push_back(render(f.s) + " " + render(f.p) + " " + render(f.o));
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// Runs `count` seeded update cases, rotating through `kinds`, the two
+/// index sets, compacted vs delta-resident facts, and the serial vs
+/// morsel-parallel operators.
+void RunUpdateSeeds(uint64_t first_seed, int count, const GenOptions& opts,
+                    const std::vector<UpdateKind>& kinds) {
+  for (int i = 0; i < count; ++i) {
+    const uint64_t seed = first_seed + static_cast<uint64_t>(i);
+    tensor::Rng rng(seed);
+    const UpdateKind kind = kinds[seed % kinds.size()];
+    const UpdateCase u = GenerateUpdateCase(&rng, opts, kind);
+    const bool erasing = kind == UpdateKind::kDeleteWhere;
+
+    const std::set<RTriple> before(u.where.facts.begin(),
+                                   u.where.facts.end());
+    const RefUpdate ref = RefInstantiate(u);
+    std::set<RTriple> after = before;
+    size_t applied = 0;
+    for (const RTriple& t : ref.triples)
+      applied += erasing ? after.erase(t) : after.insert(t).second;
+
+    for (bool parallel : {false, true}) {
+      std::unique_ptr<TinyMorselGuard> morsels;
+      if (parallel) morsels = std::make_unique<TinyMorselGuard>();
+      rdf::TripleStore::Options sopts;
+      if (seed % 2 == 1)
+        sopts.index_set = rdf::TripleStore::Options::IndexSet::kClassicTrio;
+      if (seed % 5 == 2) sopts.block_size = 2;
+      rdf::TripleStore store(sopts);
+      for (const RTriple& f : u.where.facts)
+        store.Insert(ToTerm(f.s), ToTerm(f.p), ToTerm(f.o));
+      if ((seed / 2) % 2 == 0) store.Compact();
+
+      QueryEngine engine(&store);
+      auto r = engine.ExecuteString(u.sparql);
+      const std::string where = "seed=" + std::to_string(seed) +
+                                (parallel ? " (parallel)\n" : "\n") +
+                                u.sparql;
+      if (ref.unbound) {
+        ASSERT_FALSE(r.ok()) << where;
+        EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << where;
+        EXPECT_NE(r.status().message().find("not bound"), std::string::npos)
+            << r.status() << "\n" << where;
+        ASSERT_EQ(StoreFacts(store), RenderFacts(before))
+            << "a failed update changed the store\n" << where;
+        continue;
+      }
+      ASSERT_TRUE(r.ok()) << r.status() << "\n" << where;
+      EXPECT_EQ(erasing ? r->num_deleted : r->num_inserted, applied) << where;
+      EXPECT_EQ(erasing ? r->num_inserted : r->num_deleted, 0u) << where;
+      ASSERT_EQ(StoreFacts(store), RenderFacts(after)) << where;
+    }
+  }
+}
+
+TEST(ExecOracleTest, InsertDataMatchesBruteForce) {
+  RunUpdateSeeds(10000, 40, GenOptions{}, {UpdateKind::kInsertData});
+}
+
+TEST(ExecOracleTest, UpdatesOverBasicGraphPatternsMatchBruteForce) {
+  RunUpdateSeeds(11000, 60, GenOptions{},
+                 {UpdateKind::kInsertWhere, UpdateKind::kDeleteWhere});
+}
+
+TEST(ExecOracleTest, UpdatesWithFiltersMatchBruteForce) {
+  GenOptions opts;
+  opts.filters = true;
+  RunUpdateSeeds(12000, 60, opts,
+                 {UpdateKind::kInsertWhere, UpdateKind::kDeleteWhere});
+}
+
+TEST(ExecOracleTest, UpdatesOverUnionsMatchBruteForce) {
+  GenOptions opts;
+  opts.filters = true;
+  opts.unions = true;
+  RunUpdateSeeds(13000, 50, opts,
+                 {UpdateKind::kInsertWhere, UpdateKind::kDeleteWhere});
+}
+
+TEST(ExecOracleTest, UpdatesOverOptionalsMatchBruteForce) {
+  GenOptions opts;
+  opts.filters = true;
+  opts.unions = true;
+  opts.optionals = true;
+  RunUpdateSeeds(14000, 50, opts,
+                 {UpdateKind::kInsertWhere, UpdateKind::kDeleteWhere});
+}
+
+// The unbound-template error, pinned by hand: a variable no pattern
+// binds, one an OPTIONAL binds in only some rows, and the no-solution
+// case, which applies nothing and is not an error.
+TEST(ExecOracleTest, UnboundTemplateVariableFailsTheWholeUpdate) {
+  rdf::TripleStore store;
+  store.InsertIris("n1", "p", "n2");
+  store.InsertIris("n2", "p", "n3");
+  store.InsertIris("n2", "q", "n4");
+  const std::vector<std::string> pristine = StoreFacts(store);
+  QueryEngine engine(&store);
+  for (const char* text : {
+           "INSERT { ?s <r> ?zz } WHERE { ?s <p> ?o }",
+           "INSERT { ?s <r> ?x } WHERE { ?s <p> ?o OPTIONAL { ?s <q> ?x } }",
+           "DELETE { ?s <p> ?x } WHERE { ?s <p> ?o OPTIONAL { ?s <q> ?x } }",
+       }) {
+    auto r = engine.ExecuteString(text);
+    ASSERT_FALSE(r.ok()) << text;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << text;
+    EXPECT_EQ(r.status().message(),
+              "update template variable not bound by WHERE clause")
+        << text;
+    EXPECT_EQ(StoreFacts(store), pristine) << text;
+  }
+  auto none = engine.ExecuteString("INSERT { ?s <r> ?zz } WHERE { ?s <nope> ?o }");
+  ASSERT_TRUE(none.ok()) << none.status();
+  EXPECT_EQ(none->num_inserted, 0u);
+  EXPECT_EQ(StoreFacts(store), pristine);
 }
 
 }  // namespace
