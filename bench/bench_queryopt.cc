@@ -5,9 +5,9 @@
 // optimizer must pick the dictionary plan once the instance count
 // outgrows the break-even point.
 //
-// Part 2 compares the plain-SPARQL hot path per BGP shape: the streaming
-// executor (merge/hash/bind joins over sorted index cursors) against the
-// legacy materializing nested-loop evaluator, and writes the timings to
+// Part 2 times the plain-SPARQL hot path per BGP shape through the
+// streaming executor (merge/hash/bind joins over sorted index cursors),
+// checks each shape's row count, and writes the timings to
 // BENCH_queryopt.json in the working directory.
 #include <algorithm>
 #include <array>
@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -50,11 +51,10 @@ double PercentileMs(std::vector<double>* samples, double pct) {
   return (*samples)[idx];
 }
 
-/// Executes `query` `reps` times in `mode`; returns (median ms, rows).
+/// Executes `query` `reps` times; returns (median ms, rows).
 std::pair<double, size_t> TimeQuery(kgnet::sparql::QueryEngine* engine,
                                     const kgnet::sparql::Query& query,
-                                    kgnet::sparql::ExecMode mode, int reps) {
-  engine->set_exec_mode(mode);
+                                    int reps) {
   size_t rows = 0;
   std::vector<double> ms;
   for (int i = 0; i <= reps; ++i) {  // one warmup + reps timed
@@ -76,10 +76,8 @@ std::pair<double, size_t> TimeQuery(kgnet::sparql::QueryEngine* engine,
 
 struct ShapeResult {
   std::string name;
-  double old_ms = 0;
-  double new_ms = 0;
+  double ms = 0;
   size_t rows = 0;
-  double speedup() const { return new_ms > 0 ? old_ms / new_ms : 0; }
 };
 
 struct MemoryConfigResult {
@@ -140,8 +138,7 @@ int RunIndexMemoryBench(kgnet::bench::ShapeChecker* shape,
     }
 
     sparql::QueryEngine engine(&store);
-    auto [ms, rows] =
-        TimeQuery(&engine, *parsed, sparql::ExecMode::kStreaming, 5);
+    auto [ms, rows] = TimeQuery(&engine, *parsed, 5);
     (void)rows;
 
     MemoryConfigResult r;
@@ -237,7 +234,6 @@ int RunThreadScalingBench(kgnet::bench::ShapeChecker* shape,
       return 1;
     }
     sparql::QueryEngine engine(store);
-    engine.set_exec_mode(sparql::ExecMode::kStreaming);
 
     sparql::QueryResult last;
     auto once = [&](const sparql::MorselConfig& cfg, int threads,
@@ -352,7 +348,6 @@ int RunMixedReadWriteBench(kgnet::bench::ShapeChecker* shape,
     return 1;
   }
   sparql::QueryEngine engine(store);
-  engine.set_exec_mode(sparql::ExecMode::kStreaming);
 
   const rdf::Term type = rdf::Term::Iri(std::string(rdf::kRdfType));
   const rdf::Term pub = rdf::Term::Iri(workload::DblpSchema::Publication());
@@ -419,7 +414,7 @@ int RunMixedReadWriteBench(kgnet::bench::ShapeChecker* shape,
   return 0;
 }
 
-/// Part 2: per-shape old-vs-new executor timings on a plain DBLP KG.
+/// Part 2: per-shape executor timings on a plain DBLP KG.
 int RunExecutorBench(kgnet::bench::ShapeChecker* shape) {
   using namespace kgnet;
   namespace ws = workload;
@@ -442,34 +437,41 @@ int RunExecutorBench(kgnet::bench::ShapeChecker* shape) {
     // Timed repetitions. Microsecond-scale shapes take more samples so
     // the median is stable against timer jitter.
     int reps = 5;
+    // Expected rows on this deterministically generated graph.
+    size_t rows = 0;
   };
   const ShapeSpec specs[] = {
       {"star2",
        px + "SELECT ?p ?v WHERE { ?p a dblp:Publication . "
             "?p dblp:publishedIn ?v . }",
-       5},
+       5, 4000},
       {"star3",
        px + "SELECT ?p ?v ?a WHERE { ?p a dblp:Publication . "
             "?p dblp:publishedIn ?v . ?p dblp:authoredBy ?a . }",
-       5},
+       5, 11949},
       {"chain2",
        px + "SELECT ?p ?f WHERE { ?p dblp:authoredBy ?a . "
             "?a dblp:primaryAffiliation ?f . }",
-       5},
+       5, 11949},
       {"selective",
        px + "SELECT ?a ?f WHERE { <https://dblp.org/rdf/publication/17> "
             "dblp:authoredBy ?a . ?a dblp:primaryAffiliation ?f . }",
-       41},
+       41, 3},
+      // One pattern with a bound subject: the point-read class of the
+      // serving workload.
+      {"point",
+       px + "SELECT ?a WHERE { <https://dblp.org/rdf/publication/17> "
+            "dblp:authoredBy ?a . }",
+       201, 3},
       {"star3_limit10",
        px + "SELECT ?p ?v ?a WHERE { ?p a dblp:Publication . "
             "?p dblp:publishedIn ?v . ?p dblp:authoredBy ?a . } LIMIT 10",
-       5},
+       5, 10},
   };
 
-  std::printf("\nSTREAMING EXECUTOR vs LEGACY (plain SPARQL, %zu triples)\n\n",
+  std::printf("\nSTREAMING EXECUTOR (plain SPARQL, %zu triples)\n\n",
               store.size());
-  std::printf("%-15s %12s %12s %10s %10s\n", "shape", "legacy (ms)",
-              "stream (ms)", "speedup", "rows");
+  std::printf("%-15s %12s %10s\n", "shape", "ms", "rows");
 
   std::vector<ShapeResult> results;
   for (const ShapeSpec& spec : specs) {
@@ -478,47 +480,14 @@ int RunExecutorBench(kgnet::bench::ShapeChecker* shape) {
       std::fprintf(stderr, "%s\n", parsed.status().ToString().c_str());
       return 1;
     }
-    auto [old_ms, old_rows] =
-        TimeQuery(&engine, *parsed, sparql::ExecMode::kMaterialized, spec.reps);
-    auto [new_ms, new_rows] =
-        TimeQuery(&engine, *parsed, sparql::ExecMode::kStreaming, spec.reps);
     ShapeResult r;
     r.name = spec.name;
-    r.old_ms = old_ms;
-    r.new_ms = new_ms;
-    r.rows = new_rows;
-    std::printf("%-15s %12.3f %12.3f %9.2fx %10zu\n", r.name.c_str(),
-                r.old_ms, r.new_ms, r.speedup(), r.rows);
-    shape->Check(old_rows == new_rows,
-                 std::string(spec.name) + ": row counts agree (" +
-                     std::to_string(old_rows) + " vs " +
-                     std::to_string(new_rows) + ")");
+    std::tie(r.ms, r.rows) = TimeQuery(&engine, *parsed, spec.reps);
+    std::printf("%-15s %12.4f %10zu\n", r.name.c_str(), r.ms, r.rows);
+    shape->Check(r.rows == spec.rows,
+                 std::string(spec.name) + ": " + std::to_string(r.rows) +
+                     " rows (expected " + std::to_string(spec.rows) + ")");
     results.push_back(std::move(r));
-  }
-
-  double best = 0;
-  bool no_regression = true;
-  for (const ShapeResult& r : results) {
-    best = std::max(best, r.speedup());
-    // 10% relative + 0.05 ms absolute slack against timer jitter.
-    if (r.new_ms > r.old_ms * 1.10 + 0.05) no_regression = false;
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.2f", best);
-  shape->Check(best >= 2.0, std::string("streaming executor >= 2x on at "
-                                        "least one shape (best ") +
-                                buf + "x)");
-  shape->Check(no_regression,
-               "no shape regresses more than 10% vs the legacy executor");
-  for (const ShapeResult& r : results) {
-    if (r.name != "selective") continue;
-    // Pinned since the single-pattern fast path + planner shortcuts:
-    // the fully/near-bound shape must not lose to the legacy evaluator
-    // on planning overhead again.
-    std::snprintf(buf, sizeof(buf), "%.2f", r.speedup());
-    shape->Check(r.speedup() >= 1.0,
-                 std::string("selective shape: streaming >= legacy (got ") +
-                     buf + "x)");
   }
 
   // Part 3: memory-vs-speed across index configurations (same graph).
@@ -547,9 +516,8 @@ int RunExecutorBench(kgnet::bench::ShapeChecker* shape) {
       const ShapeResult& r = results[i];
       std::fprintf(json,
                    "    {\"name\": \"%s\", \"rows\": %zu, "
-                   "\"legacy_ms\": %.4f, \"streaming_ms\": %.4f, "
-                   "\"speedup\": %.3f}%s\n",
-                   r.name.c_str(), r.rows, r.old_ms, r.new_ms, r.speedup(),
+                   "\"streaming_ms\": %.4f}%s\n",
+                   r.name.c_str(), r.rows, r.ms,
                    i + 1 < results.size() ? "," : "");
     }
     std::fprintf(json, "  ],\n");

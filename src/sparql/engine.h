@@ -35,24 +35,12 @@ struct QueryResult {
   std::string ToTable() const;
 };
 
-/// How Execute() evaluates basic graph patterns.
-enum class ExecMode {
-  /// Volcano-style streaming operator tree from the cost-based planner
-  /// (sparql/plan.h): merge/hash/bind joins over sorted index cursors,
-  /// LIMIT stops the scans early. The default.
-  kStreaming,
-  /// The legacy evaluator: greedy indexed nested-loop joins with fully
-  /// materialized intermediates. Kept as a reference implementation for
-  /// differential tests and old-vs-new benchmarks.
-  kMaterialized,
-};
-
 /// Per-query execution report: the EXPLAIN-style plan plus runtime
 /// counters (tests assert that LIMIT short-circuits rows_scanned).
 struct ExecInfo {
-  /// Rendered operator tree of the WHERE clause. Only populated on the
-  /// streaming SELECT/ASK path (UNION/OPTIONAL included); empty in
-  /// kMaterialized mode and for updates.
+  /// Rendered operator tree of the WHERE clause (wrapped in Project/Limit
+  /// for SELECT) — the tree the query executed. Empty for INSERT DATA,
+  /// which plans nothing.
   std::string plan;
   /// Matching triples pulled out of index cursors across the whole query.
   size_t rows_scanned = 0;
@@ -69,19 +57,19 @@ struct ExecInfo {
 
 /// Executes SPARQL queries against a single TripleStore.
 ///
-/// Basic graph patterns are compiled by a cost-based planner into a
-/// streaming operator tree (IndexScan over the six sorted permutation
-/// indexes, SortMergeJoin when both inputs stream in the same
-/// shared-variable order, BindJoin for selective outers, a lazily-built
-/// symmetric HashJoin as the fallback). FILTERs apply at the lowest
-/// operator where every variable they mention is bound; SELECT/ASK
-/// results stream — UNION and OPTIONAL groups included, via UnionAll and
-/// LeftOuterJoin operators — so LIMIT queries stop scanning early.
-///
-/// Single-triple-pattern SELECT/ASK queries (no FILTER/UNION/OPTIONAL/
-/// sub-SELECT) skip the operator tree entirely and answer from one
-/// index cursor — planning such a query costs more than running it.
-/// Pass an ExecInfo to see (and execute) the full planned tree instead.
+/// Every query and update runs one pipeline: top-level sub-SELECTs are
+/// evaluated into seed rows, the WHERE clause is compiled by a cost-based
+/// planner into a streaming operator tree (IndexScan over the sorted
+/// permutation indexes, SortMergeJoin when both inputs stream in the
+/// same shared-variable order, BindJoin for selective outers, a
+/// lazily-built symmetric HashJoin as the fallback, UnionAll and
+/// LeftOuterJoin for UNION and OPTIONAL groups; FILTERs at the lowest
+/// operator where every variable they mention is bound), and the tree is
+/// drained by query kind: ASK takes the first row, SELECT projects, then
+/// applies DISTINCT, OFFSET and LIMIT (which stops the scans early),
+/// INSERT/DELETE WHERE collect the template triples into one atomic
+/// TripleStore::Apply batch. INSERT DATA plans nothing and goes straight
+/// to Apply. Passing an ExecInfo never changes which plan runs.
 class QueryEngine {
  public:
   explicit QueryEngine(rdf::TripleStore* store) : store_(store) {}
@@ -113,13 +101,10 @@ class QueryEngine {
   /// Parses `text` and renders its plan.
   Result<std::string> ExplainString(std::string_view text);
 
-  /// Estimated number of solutions of the WHERE clause of `query`
-  /// (product of per-pattern estimates after greedy ordering; an upper
-  /// bound used by the SPARQL-ML optimizer).
+  /// Estimated number of solutions of the WHERE clause of `query`: the
+  /// plain product of its per-pattern estimates, each with every variable
+  /// free — a cheap upper bound used by the SPARQL-ML optimizer.
   size_t EstimateWhereCardinality(const Query& query) const;
-
-  ExecMode exec_mode() const { return mode_; }
-  void set_exec_mode(ExecMode mode) { mode_ = mode; }
 
   UdfRegistry& udfs() { return udfs_; }
   rdf::TripleStore* store() { return store_; }
@@ -127,7 +112,6 @@ class QueryEngine {
  private:
   rdf::TripleStore* store_;
   UdfRegistry udfs_;
-  ExecMode mode_ = ExecMode::kStreaming;
 };
 
 }  // namespace kgnet::sparql

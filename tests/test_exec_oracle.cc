@@ -5,10 +5,8 @@
 // then checks that
 // the engine's row multiset matches a deliberately naive brute-force
 // reference evaluator (nested loops over the full triple list, no
-// indexes, no planner). Both executor modes are checked: kStreaming
-// against the oracle and against kMaterialized, so a divergence pins the
-// bug to the new operator tree rather than to shared helpers. SPARQL
-// updates get the same treatment (the update oracle at the end): the
+// indexes, no planner) — the single reference the executor is checked
+// against. SPARQL updates get the same treatment (the update oracle at the end): the
 // post-update store is compared triple for triple against the reference
 // solutions instantiated into the update template.
 #include <gtest/gtest.h>
@@ -523,23 +521,17 @@ void RunSeeds(uint64_t first_seed, int count, const GenOptions& opts) {
     }
 
     QueryEngine engine(&store);
-    engine.set_exec_mode(ExecMode::kStreaming);
     auto streamed = engine.ExecuteString(c.sparql);
     ASSERT_TRUE(streamed.ok())
         << streamed.status() << "\nseed=" << seed << "\n" << c.sparql;
-    engine.set_exec_mode(ExecMode::kMaterialized);
-    auto legacy = engine.ExecuteString(c.sparql);
-    ASSERT_TRUE(legacy.ok())
-        << legacy.status() << "\nseed=" << seed << "\n" << c.sparql;
 
-    // Third pass: the same streaming plan driven through the
+    // Second pass: the same plan driven through the
     // morsel-parallel operators (tiny thresholds + force_parallel). The
     // determinism contract says the parallel operators emit the exact
     // serial row stream, so even LIMIT/OFFSET results — free to pick any
     // rows — must be *identical* to the serial streaming run.
     {
       TinyMorselGuard morsels;
-      engine.set_exec_mode(ExecMode::kStreaming);
       auto parallel = engine.ExecuteString(c.sparql);
       ASSERT_TRUE(parallel.ok())
           << parallel.status() << "\nseed=" << seed << "\n" << c.sparql;
@@ -551,7 +543,6 @@ void RunSeeds(uint64_t first_seed, int count, const GenOptions& opts) {
     std::vector<Binding> oracle =
         RefEval(c.patterns, c.filters, c.unions, c.optionals, c.facts);
     auto engine_rows = EngineRows(*streamed);
-    auto legacy_rows = EngineRows(*legacy);
     auto oracle_rows = RefRows(oracle, streamed->columns);
     if (c.distinct)
       oracle_rows.erase(std::unique(oracle_rows.begin(), oracle_rows.end()),
@@ -567,19 +558,13 @@ void RunSeeds(uint64_t first_seed, int count, const GenOptions& opts) {
 
     ASSERT_EQ(engine_rows.size(), expected)
         << "seed=" << seed << "\n" << c.sparql;
-    ASSERT_EQ(legacy_rows.size(), expected)
-        << "seed=" << seed << "\n" << c.sparql;
     if (c.limit < 0 && c.offset == 0) {
-      // Full result: exact multiset equality, in both modes.
+      // Full result: exact multiset equality.
       ASSERT_EQ(engine_rows, oracle_rows)
-          << "seed=" << seed << "\n" << c.sparql;
-      ASSERT_EQ(legacy_rows, oracle_rows)
           << "seed=" << seed << "\n" << c.sparql;
     } else {
       // LIMIT/OFFSET may pick any rows, but only oracle rows.
       ASSERT_TRUE(IsSubMultiset(engine_rows, oracle_rows))
-          << "seed=" << seed << "\n" << c.sparql;
-      ASSERT_TRUE(IsSubMultiset(legacy_rows, oracle_rows))
           << "seed=" << seed << "\n" << c.sparql;
     }
   }
@@ -588,8 +573,7 @@ void RunSeeds(uint64_t first_seed, int count, const GenOptions& opts) {
 // Regression: a FILTER inside a nested group whose variable is bound by
 // only one UNION branch reaches the streaming planner through seed rows
 // with heterogeneous bindings. It must be applied leniently per row
-// (when the row binds the variable), exactly like the legacy evaluator —
-// not dropped.
+// (when the row binds the variable) — not dropped.
 TEST(ExecOracleTest, FilterOnHeterogeneousSeedBindingsMatchesLegacy) {
   rdf::TripleStore store;
   store.InsertIris("n1", "p1", "n2");
@@ -604,18 +588,20 @@ TEST(ExecOracleTest, FilterOnHeterogeneousSeedBindingsMatchesLegacy) {
   QueryEngine engine(&store);
   auto streamed = engine.ExecuteString(query);
   ASSERT_TRUE(streamed.ok()) << streamed.status();
-  engine.set_exec_mode(ExecMode::kMaterialized);
-  auto legacy = engine.ExecuteString(query);
-  ASSERT_TRUE(legacy.ok()) << legacy.status();
-  EXPECT_EQ(EngineRows(*streamed), EngineRows(*legacy));
   // ?y=<bad> fails the filter; ?y unbound (first branch) passes it.
+  EXPECT_EQ(streamed->columns,
+            (std::vector<std::string>{"s", "o", "x", "y", "z"}));
+  EXPECT_EQ(EngineRows(*streamed),
+            (std::vector<std::vector<std::string>>{
+                {"i:n1", "i:n2", "i:x1", "u:", "u:"},
+                {"i:n1", "i:n2", "u:", "i:good", "u:"}}));
   EXPECT_EQ(streamed->NumRows(), 2u);
 }
 
 // 300 randomized cases total, weighted across the query shapes the
 // streaming executor must get right. The random graphs and BGPs exercise
 // every bound-position combination, so the planner's scans cover all six
-// permutation indexes (spo/pos/osp/pso/ops/sop) in both executor modes.
+// permutation indexes (spo/pos/osp/pso/ops/sop).
 TEST(ExecOracleTest, BasicGraphPatternsMatchBruteForce) {
   RunSeeds(1000, 60, GenOptions{});
 }
@@ -681,33 +667,24 @@ TEST(ExecOracleTest, DistinctKeepsUnboundApartFromEmptyLiteral) {
   const std::string query =
       "SELECT DISTINCT ?s ?x WHERE { { ?s <p> ?x } UNION { ?s <q> <o> } }";
   QueryEngine engine(&store);
-  for (ExecMode mode : {ExecMode::kStreaming, ExecMode::kMaterialized}) {
-    engine.set_exec_mode(mode);
-    auto r = engine.ExecuteString(query);
-    ASSERT_TRUE(r.ok()) << r.status();
-    ASSERT_EQ(r->NumRows(), 2u) << "DISTINCT merged unbound with \"\"";
-    // One row binds ?x to the empty literal, the other leaves it UNDEF.
-    int undef = 0, empty_lit = 0;
-    for (const auto& row : r->rows) {
-      if (row[1].is_undef()) ++undef;
-      if (row[1].is_literal() && row[1].lexical.empty()) ++empty_lit;
-    }
-    EXPECT_EQ(undef, 1);
-    EXPECT_EQ(empty_lit, 1);
+  auto r = engine.ExecuteString(query);
+  ASSERT_TRUE(r.ok()) << r.status();
+  ASSERT_EQ(r->NumRows(), 2u) << "DISTINCT merged unbound with \"\"";
+  // One row binds ?x to the empty literal, the other leaves it UNDEF.
+  int undef = 0, empty_lit = 0;
+  for (const auto& row : r->rows) {
+    if (row[1].is_undef()) ++undef;
+    if (row[1].is_literal() && row[1].lexical.empty()) ++empty_lit;
   }
+  EXPECT_EQ(undef, 1);
+  EXPECT_EQ(empty_lit, 1);
 }
 
-// The MVCC guarantee at the query layer: a query executed against a
-// snapshot opened *before* a mutation batch returns exactly the
-// pre-batch answer, while the same parsed query on the live store
-// tracks the updated graph — both sides differentially checked against
-// the brute-force reference on their respective fact sets, across
-// interleaved insert/erase batches and a mid-sequence compaction.
-// Plain reads over the wire run without an ExecInfo, so single-pattern
-// queries take the fast path there; with one, the planned operator tree
-// runs. Both must emit the same rows in the same order, on clean and
-// dirty stores, in both index sets — or the wire bytes would depend on
-// whether anyone asked for a plan.
+// Plain reads over the wire run without an ExecInfo; explained and
+// benchmarked reads pass one. Single-pattern queries must emit the same
+// rows in the same order either way, on clean and dirty stores, in both
+// index sets — or the wire bytes would depend on whether anyone asked for
+// a plan.
 TEST(ExecOracleTest, SinglePatternFastPathMatchesPlannedTreeRowForRow) {
   for (uint64_t seed = 9300; seed < 9306; ++seed) {
     tensor::Rng rng(seed);
@@ -752,6 +729,12 @@ TEST(ExecOracleTest, SinglePatternFastPathMatchesPlannedTreeRowForRow) {
   }
 }
 
+// The MVCC guarantee at the query layer: a query executed against a
+// snapshot opened *before* a mutation batch returns exactly the
+// pre-batch answer, while the same parsed query on the live store
+// tracks the updated graph — both sides differentially checked against
+// the brute-force reference on their respective fact sets, across
+// interleaved insert/erase batches and a mid-sequence compaction.
 TEST(ExecOracleTest, SnapshotQueriesSurviveInterleavedMutationBatches) {
   for (uint64_t seed = 9200; seed < 9212; ++seed) {
     tensor::Rng rng(seed);
@@ -835,8 +818,8 @@ TEST(ExecOracleTest, SnapshotQueriesSurviveInterleavedMutationBatches) {
 // The store's index flush (and the N-Triples bulk load above it) runs on
 // the shared thread pool; every query result table must be identical no
 // matter how many pool threads rebuilt the permutation runs. Full result
-// tables (rendered rows, both executor modes) are compared across
-// thread counts on a spread of seeded graph/query cases.
+// tables (rendered rows) are compared across thread counts on a spread
+// of seeded graph/query cases.
 TEST(ExecOracleTest, ResultTablesIdenticalAcrossThreadCounts) {
   kgnet::testing::ThreadCountGuard thread_guard;
   GenOptions opts;
@@ -862,13 +845,10 @@ TEST(ExecOracleTest, ResultTablesIdenticalAcrossThreadCounts) {
         store.Insert(to_term(f.s), to_term(f.p), to_term(f.o));
       }
       QueryEngine engine(&store);
-      for (ExecMode mode : {ExecMode::kStreaming, ExecMode::kMaterialized}) {
-        engine.set_exec_mode(mode);
-        auto result = engine.ExecuteString(c.sparql);
-        EXPECT_TRUE(result.ok())
-            << result.status() << "\nseed=" << seed << "\n" << c.sparql;
-        tables.push_back(result.ok() ? EngineRows(*result) : Table{});
-      }
+      auto result = engine.ExecuteString(c.sparql);
+      EXPECT_TRUE(result.ok())
+          << result.status() << "\nseed=" << seed << "\n" << c.sparql;
+      tables.push_back(result.ok() ? EngineRows(*result) : Table{});
     }
     return tables;
   };
@@ -913,7 +893,6 @@ TEST(ExecOracleTest, ParallelOperatorsIdenticalAcrossThreadCounts) {
         store.Insert(to_term(f.s), to_term(f.p), to_term(f.o));
       }
       QueryEngine engine(&store);
-      engine.set_exec_mode(ExecMode::kStreaming);
       auto result = engine.ExecuteString(c.sparql);
       EXPECT_TRUE(result.ok())
           << result.status() << "\nseed=" << seed << "\n" << c.sparql;

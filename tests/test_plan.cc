@@ -123,13 +123,10 @@ TEST_F(PlanTest, PlannerEstimatesAppearInExplain) {
 TEST_F(PlanTest, MergeAndHashPlansProduceCorrectRows) {
   auto star = Run("SELECT ?x WHERE { ?x a <T> . ?x <color> <c1> . }");
   EXPECT_EQ(star.first, 25u);
-  // The chain result must agree between the streaming plan and the
-  // legacy evaluator.
+  // The fixture's 200 distinct e0 edges meet its 120 distinct e1 edges
+  // in 400 (?a, ?b, ?c) solutions.
   auto chain = Run("SELECT ?a ?c WHERE { ?a <e0> ?b . ?b <e1> ?c . }");
-  engine_.set_exec_mode(ExecMode::kMaterialized);
-  auto legacy = Run("SELECT ?a ?c WHERE { ?a <e0> ?b . ?b <e1> ?c . }");
-  engine_.set_exec_mode(ExecMode::kStreaming);
-  EXPECT_EQ(chain.first, legacy.first);
+  EXPECT_EQ(chain.first, 400u);
   EXPECT_GT(chain.first, 0u);
 }
 
@@ -228,12 +225,10 @@ TEST_F(TrioPlanTest, PlannerFallsBackGracefullyWithoutSecondTrio) {
   EXPECT_EQ(plan->find("IndexScan[ops]"), std::string::npos) << *plan;
   EXPECT_EQ(plan->find("IndexScan[sop]"), std::string::npos) << *plan;
 
+  // Same fixture edges as PlanTest: 400 chain solutions.
   auto streamed = engine_.ExecuteString(query);
   ASSERT_TRUE(streamed.ok()) << streamed.status();
-  engine_.set_exec_mode(ExecMode::kMaterialized);
-  auto legacy = engine_.ExecuteString(query);
-  ASSERT_TRUE(legacy.ok()) << legacy.status();
-  EXPECT_EQ(streamed->NumRows(), legacy->NumRows());
+  EXPECT_EQ(streamed->NumRows(), 400u);
   EXPECT_GT(streamed->NumRows(), 0u);
 }
 
