@@ -83,6 +83,22 @@ class Parser {
         " levels (near offset " + std::to_string(Peek().offset) + ")");
   }
 
+  Status TooManyPatterns() const {
+    return Status::InvalidArgument(
+        "WHERE clause has more than " + std::to_string(kMaxWherePatterns) +
+        " triple patterns (near offset " + std::to_string(Peek().offset) +
+        ")");
+  }
+
+  /// Parses an INSERT DATA block or an update template: a group whose
+  /// triples do not count against kMaxWherePatterns.
+  Status ParseTemplate(Query* q, GraphPattern* gp) {
+    count_patterns_ = false;
+    Status st = ParseGroupGraphPattern(q, gp);
+    count_patterns_ = true;
+    return st;
+  }
+
   /// One level of recursion, held for the scope of a nested parse.
   class Level {
    public:
@@ -186,7 +202,7 @@ class Parser {
     if (AcceptKeyword("DATA")) {
       q->kind = QueryKind::kInsertData;
       GraphPattern data;
-      KGNET_RETURN_IF_ERROR(ParseGroupGraphPattern(q, &data));
+      KGNET_RETURN_IF_ERROR(ParseTemplate(q, &data));
       q->update_template = std::move(data.triples);
       return Status::OK();
     }
@@ -199,7 +215,7 @@ class Parser {
     }
     q->kind = QueryKind::kInsertWhere;
     GraphPattern tmpl;
-    KGNET_RETURN_IF_ERROR(ParseGroupGraphPattern(q, &tmpl));
+    KGNET_RETURN_IF_ERROR(ParseTemplate(q, &tmpl));
     q->update_template = std::move(tmpl.triples);
     if (!AcceptKeyword("WHERE")) return Err("expected WHERE after INSERT {}");
     KGNET_RETURN_IF_ERROR(ParseGroupGraphPattern(q, &q->where));
@@ -210,7 +226,7 @@ class Parser {
     Next();  // DELETE
     q->kind = QueryKind::kDeleteWhere;
     GraphPattern tmpl;
-    KGNET_RETURN_IF_ERROR(ParseGroupGraphPattern(q, &tmpl));
+    KGNET_RETURN_IF_ERROR(ParseTemplate(q, &tmpl));
     q->update_template = std::move(tmpl.triples);
     if (!AcceptKeyword("WHERE")) return Err("expected WHERE after DELETE {}");
     KGNET_RETURN_IF_ERROR(ParseGroupGraphPattern(q, &q->where));
@@ -283,6 +299,8 @@ class Parser {
       while (true) {
         KGNET_ASSIGN_OR_RETURN(NodeRef p, ParseNode(*q));
         KGNET_ASSIGN_OR_RETURN(NodeRef o, ParseNode(*q));
+        if (count_patterns_ && ++where_patterns_ > kMaxWherePatterns)
+          return TooManyPatterns();
         gp->triples.push_back(PatternTriple{s, p, o});
         if (Accept(";")) {
           if (Peek().IsPunct(".") || Peek().IsPunct("}")) {
@@ -510,6 +528,8 @@ class Parser {
   size_t pos_ = 0;
   int depth_ = 0;   // open nesting levels (see kMaxNestingDepth)
   int height_ = 0;  // height of the expression tree parsed last
+  int where_patterns_ = 0;     // WHERE triple patterns so far
+  bool count_patterns_ = true;  // false inside INSERT DATA / templates
   Token eof_;  // fallback when toks_ is empty / exhausted (kind == kEof)
 };
 

@@ -36,8 +36,16 @@ namespace kgnet::sparql {
 /// hostile query of nested braces would otherwise overflow the stack.
 inline constexpr int kMaxNestingDepth = 128;
 
-/// Parses `text` into a Query. Nesting past kMaxNestingDepth is
-/// InvalidArgument.
+/// Most triple patterns ParseQuery accepts across every WHERE group of a
+/// query — OPTIONAL, UNION and sub-SELECT groups included. Planning
+/// grows superlinearly in the pattern count and is not cancellable, so
+/// one frame of a few thousand patterns would otherwise pin a worker for
+/// seconds (and a 4 MB frame for far longer). INSERT DATA triples and
+/// update templates are not counted: applying them is linear.
+inline constexpr int kMaxWherePatterns = 1024;
+
+/// Parses `text` into a Query. Nesting past kMaxNestingDepth and more
+/// than kMaxWherePatterns WHERE patterns are InvalidArgument.
 Result<Query> ParseQuery(std::string_view text);
 
 }  // namespace kgnet::sparql

@@ -263,6 +263,28 @@ TEST_F(ServingHardeningTest, DeeplyNestedFrameAndQueriesGetErrors) {
   ExpectStillServing(&scope);
 }
 
+TEST_F(ServingHardeningTest, OversizedWhereClauseGetsError) {
+  // Planning is superlinear in the WHERE pattern count and polls no
+  // deadline: without sparql::kMaxWherePatterns this ~3 MB frame of
+  // `?s ?p ?o .` patterns would pin a worker for hours.
+  KgNet kg;
+  Seed(&kg);
+  ScopedServer scope(&kg.service());
+  ASSERT_TRUE(scope.start_status().ok());
+  KgClient client;
+  ASSERT_TRUE(scope.Connect(&client).ok());
+  std::string query = "SELECT * WHERE { ";
+  while (query.size() < (3u << 20)) query += "?s ?p ?o . ";
+  query += "}";
+  auto raw = client.Call(BuildQueryRequest(7, query));
+  ASSERT_TRUE(raw.ok()) << raw.status();
+  EXPECT_NE(raw->find("\"ok\":false"), std::string::npos);
+  EXPECT_NE(raw->find("InvalidArgument"), std::string::npos) << *raw;
+  EXPECT_NE(raw->find("triple patterns"), std::string::npos) << *raw;
+  EXPECT_TRUE(client.Ping().ok());
+  ExpectStillServing(&scope);
+}
+
 TEST_F(ServingHardeningTest, TruncatedFramesAndAbruptCloses) {
   KgNet kg;
   Seed(&kg);

@@ -174,6 +174,63 @@ TEST(ParserTest, QueriesAtTheNestingLimitExecute) {
   EXPECT_EQ(r->NumRows(), 1u);
 }
 
+/// "SELECT * WHERE { ... }" with `n` copies of the all-variable pattern.
+std::string ManyPatterns(int n) {
+  return "SELECT * WHERE { " + Repeat("?s ?p ?o . ", n) + "}";
+}
+
+void ExpectTooManyPatterns(const std::string& text) {
+  auto q = ParseQuery(text);
+  ASSERT_FALSE(q.ok()) << text.substr(0, 80);
+  EXPECT_EQ(q.status().code(), StatusCode::kInvalidArgument) << q.status();
+  EXPECT_NE(q.status().message().find("triple patterns"), std::string::npos)
+      << q.status();
+}
+
+TEST(ParserTest, WherePatternLimitIsExact) {
+  EXPECT_TRUE(ParseQuery(ManyPatterns(kMaxWherePatterns)).ok());
+  ExpectTooManyPatterns(ManyPatterns(kMaxWherePatterns + 1));
+  // `;` continuations are patterns too.
+  const std::string tail = Repeat("?p ?o ; ", kMaxWherePatterns - 1);
+  EXPECT_TRUE(ParseQuery("SELECT * WHERE { ?s " + tail + "?p ?o . }").ok());
+  ExpectTooManyPatterns("SELECT * WHERE { ?s " + tail + "?p ?o ; ?p ?o . }");
+
+  // Counted across OPTIONAL, UNION and sub-SELECT groups: 1024 in all.
+  const std::string p = "?s ?p ?o . ";
+  const int rest = kMaxWherePatterns - 3;
+  auto spread = [&](int extra) {
+    return "SELECT * WHERE { " + Repeat(p, rest / 2 + extra) +
+           "OPTIONAL { " + p + "} { " + p + "} UNION { " +
+           Repeat(p, rest - rest / 2) + "} { SELECT ?s WHERE { " + p +
+           "} } }";
+  };
+  auto at_limit = ParseQuery(spread(0));
+  ASSERT_TRUE(at_limit.ok()) << at_limit.status();
+  ASSERT_EQ(at_limit->where.subselects.size(), 1u);
+  ASSERT_EQ(at_limit->where.optionals.size(), 1u);
+  ASSERT_EQ(at_limit->where.unions.size(), 1u);
+  ExpectTooManyPatterns(spread(1));
+
+  // INSERT DATA triples and update templates are not WHERE patterns.
+  const int big = 2 * kMaxWherePatterns;
+  EXPECT_TRUE(
+      ParseQuery("INSERT DATA { " + Repeat("<a> <p> <b> . ", big) + "}").ok());
+  EXPECT_TRUE(ParseQuery("INSERT { " + Repeat("?s <q> ?o . ", big) +
+                         "} WHERE { ?s <p> ?o . }")
+                  .ok());
+  const std::string del = "DELETE { " + Repeat("?s ?p ?o . ", big) + "} WHERE ";
+  EXPECT_TRUE(ParseQuery(del + "{ " + Repeat(p, kMaxWherePatterns) + "}").ok());
+  ExpectTooManyPatterns(del + "{ " + Repeat(p, kMaxWherePatterns + 1) + "}");
+
+  // The engine reports the same error.
+  rdf::TripleStore store;
+  store.InsertIris("a", "p", "b");
+  QueryEngine engine(&store);
+  auto r = engine.ExecuteString(ManyPatterns(kMaxWherePatterns + 1));
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(ParserTest, ParsesFilters) {
   auto q = ParseQuery(
       "SELECT ?s WHERE { ?s <p> ?v . FILTER(?v > 3 && ?v != 7) }");
