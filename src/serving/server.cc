@@ -604,7 +604,7 @@ std::string KgServer::HandleQuery(
   source.set_abandon_probe([fd] { return PeerGone(fd); });
   // No ExecInfo: the wire carries only the snapshot's epoch/delta, which
   // the snapshot itself supplies, and asking for one would render an
-  // unread EXPLAIN string and skip the single-pattern fast path.
+  // unread EXPLAIN string.
   const rdf::Snapshot snapshot = service_->engine().store()->OpenSnapshot();
   Result<sparql::QueryResult> result = Status::Internal("pending");
   {

@@ -444,8 +444,8 @@ class LeftOuterJoin : public Operator {
 /// variables are statically bound. Filters the plan cannot prove bound
 /// (e.g. variables bound in only some seed rows) attach at the top in
 /// lenient mode: they are evaluated only on rows that do bind all their
-/// variables and pass otherwise, matching the legacy evaluator's
-/// apply-when-ready semantics.
+/// variables and pass otherwise — the apply-when-ready semantics the
+/// brute-force oracle in tests/test_exec_oracle.cc evaluates.
 class FilterOp : public Operator {
  public:
   struct Condition {

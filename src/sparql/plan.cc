@@ -562,8 +562,8 @@ Plan PlanBasicGraphPattern(const GraphPattern& gp, EvalContext* ctx,
 
   // Filters the plan could not prove bound (e.g. variables bound only in
   // some seed rows) attach at the top in lenient mode: evaluated only on
-  // rows that bind all their variables, passing otherwise. This matches
-  // the legacy evaluator's apply-when-ready semantics.
+  // rows that bind all their variables, passing otherwise — the
+  // apply-when-ready semantics the brute-force oracle evaluates.
   {
     std::vector<FilterOp::Condition> lenient;
     for (CompiledFilter& cf : filters) {
@@ -597,10 +597,9 @@ size_t SatAdd(size_t a, size_t b) {
   return a > kMaxEst - std::min(b, kMaxEst) ? kMaxEst : a + b;
 }
 
-/// Registers every variable the group tree mentions, in the same order
-/// the materialized evaluator would encounter them (patterns, filters,
-/// union alternatives, optionals — depth first), so SELECT * column
-/// order and solution widths match across executor modes.
+/// Registers every variable the group tree mentions, depth first
+/// (patterns, filters, union alternatives, optionals), which fixes the
+/// SELECT * column order and the one solution width all sub-plans share.
 void RegisterGroupVars(const GraphPattern& gp, EvalContext* ctx) {
   for (const auto& pt : gp.triples) {
     if (pt.s.is_var) ctx->vars.SlotOf(pt.s.var);
@@ -624,8 +623,8 @@ Plan BuildGroupPlan(const GraphPattern& gp, EvalContext* ctx,
 
   // UNION chains: the running plan drives every alternative per row; a
   // row multiplies by its matching alternatives (and drops when none
-  // match), so a BindJoin over a UnionAll of the branch plans reproduces
-  // the materialized semantics while streaming.
+  // match), so a BindJoin over a UnionAll of the branch plans evaluates
+  // a dependent union while streaming.
   for (const auto& alternatives : gp.unions) {
     std::vector<std::unique_ptr<Operator>> branches;
     std::unique_ptr<PlanNode> unode;

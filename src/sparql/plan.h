@@ -86,8 +86,9 @@ struct Plan {
 /// scratch. The seed vector must outlive the returned plan. New variables
 /// are registered in ctx->vars; every IndexScan reports into `stats`.
 /// Filters whose variables the plan cannot prove bound attach at the top
-/// in lenient mode (evaluated only on rows binding all their variables),
-/// matching the legacy evaluator's apply-when-ready semantics.
+/// in lenient mode (evaluated only on rows binding all their variables) —
+/// the apply-when-ready semantics the brute-force oracle in
+/// tests/test_exec_oracle.cc evaluates.
 ///
 /// `build_desc` controls whether the EXPLAIN description tree (labels,
 /// PlanNode allocations) is built alongside the operators; executions
@@ -104,14 +105,14 @@ Plan PlanBasicGraphPattern(const GraphPattern& gp, EvalContext* ctx,
 ///
 ///   Union(n)         the outer plan drives a UnionAll of the branch
 ///                    plans, re-opened once per outer row (dependent
-///                    union, matching the legacy evaluator's semantics);
+///                    union, as the brute-force oracle evaluates it);
 ///   LeftJoin(optional)  streams the optional group per outer row,
 ///                    emitting the bare outer row when nothing matches.
 ///
 /// Every variable of the whole group tree is registered in ctx->vars up
 /// front so all sub-plans share one final solution width. Nested
-/// sub-SELECTs inside UNION/OPTIONAL groups are ignored, exactly like the
-/// materialized evaluator (only top-level sub-SELECTs seed the query).
+/// sub-SELECTs inside UNION/OPTIONAL groups are ignored: only top-level
+/// sub-SELECTs seed the query.
 Plan PlanGroupPattern(const GraphPattern& gp, EvalContext* ctx,
                       const std::vector<Solution>* seeds, ExecStats* stats,
                       bool build_desc = true);
