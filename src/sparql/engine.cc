@@ -111,11 +111,12 @@ Status DrainUpdateBatch(const Query& query, EvalContext* ctx, Operator* exec,
     if (nodes.empty()) {
       for (const auto& pt : query.update_template) {
         for (const NodeRef* n : {&pt.s, &pt.p, &pt.o}) {
-          nodes.push_back(n->is_var ? TemplateNode{kNullTermId,
-                                                   ctx->vars.Find(n->var)}
-                                    : TemplateNode{
-                                          ctx->store->dict().Intern(n->term),
-                                          -1});
+          TemplateNode node;
+          if (n->is_var)
+            node.slot = ctx->vars.Find(n->var);
+          else
+            node.id = ctx->store->dict().Intern(n->term);
+          nodes.push_back(node);
         }
       }
     }
@@ -271,7 +272,7 @@ Status RunQuery(const Query& query, EvalContext* ctx, ExecStats* stats,
       return Status::OK();
     }
     case QueryKind::kInsertData:
-      break;
+      break;  // applied above, before any planning
   }
   return Status::OK();
 }
