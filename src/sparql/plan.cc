@@ -38,6 +38,27 @@ int SlotAtPosition(const CompiledPattern& cp, int pos) {
   return pos == 0 ? cp.s_slot : (pos == 1 ? cp.p_slot : cp.o_slot);
 }
 
+/// The variable a scan of `order` streams in order of: the first
+/// variable key position (everything before it is a bound constant
+/// prefix), or -1 for a fully bound pattern.
+int OrderedSlot(const CompiledPattern& cp, IndexOrder order) {
+  for (int pos : IndexOrderPositions(order)) {
+    const int slot = SlotAtPosition(cp, pos);
+    if (slot >= 0) return slot;
+  }
+  return -1;
+}
+
+/// True when `seeds` form a relation of their own: anything but absent
+/// or the single all-unbound row.
+bool HasSeedRelation(const std::vector<Solution>* seeds) {
+  if (seeds == nullptr) return false;
+  if (seeds->size() != 1) return true;
+  for (TermId id : (*seeds)[0])
+    if (id != kNullTermId) return true;
+  return false;
+}
+
 /// One way to scan a pattern: which index, how big the seekable range is,
 /// and which variable the range streams in order of.
 struct ScanChoice {
@@ -200,6 +221,11 @@ Plan PlanBasicGraphPattern(const GraphPattern& gp, EvalContext* ctx,
     filters.push_back(std::move(cf));
   }
   const size_t width = ctx->vars.size();
+  const bool use_seeds = HasSeedRelation(seeds);
+  // A lone pattern with no seed relation joins nothing, so its cheapest
+  // scan is the index whose bound prefix is longest (a shorter prefix
+  // walks a superset): take that order without probing the others.
+  const bool lone = patterns.size() == 1 && !use_seeds;
 
   // --- per-pattern scan choices ---
   for (PatternState& ps : patterns) {
@@ -213,6 +239,11 @@ Plan PlanBasicGraphPattern(const GraphPattern& gp, EvalContext* ctx,
     std::sort(ps.slots.begin(), ps.slots.end());
     ps.slots.erase(std::unique(ps.slots.begin(), ps.slots.end()),
                    ps.slots.end());
+    if (lone) {
+      const IndexOrder order = snapshot.ChooseIndex(ps.consts);
+      ps.choices.push_back({order, ps.out_est, OrderedSlot(ps.cp, order)});
+      continue;
+    }
     // Bound triple positions of the pattern (constants only).
     const bool bound_pos[3] = {ps.consts.s != kNullTermId,
                                ps.consts.p != kNullTermId,
@@ -244,16 +275,7 @@ Plan PlanBasicGraphPattern(const GraphPattern& gp, EvalContext* ctx,
         c.range =
             std::min(snapshot.EstimateRange(c.order, ps.consts), kMaxEst);
       }
-      c.ordered_slot = -1;
-      for (int k = 0; k < 3; ++k) {
-        int slot = SlotAtPosition(ps.cp, positions[k]);
-        if (slot >= 0) {
-          // First variable key position; everything before it is a bound
-          // constant prefix, so the range streams ordered by this slot.
-          c.ordered_slot = slot;
-          break;
-        }
-      }
+      c.ordered_slot = OrderedSlot(ps.cp, c.order);
       ps.choices.push_back(c);
     }
   }
@@ -296,15 +318,6 @@ Plan PlanBasicGraphPattern(const GraphPattern& gp, EvalContext* ctx,
   Running run;
   run.bound.assign(width, 0);
   bool have_relation = false;
-  bool use_seeds = false;
-  if (seeds != nullptr) {
-    // A single all-unbound row is the trivial seed: skip the relation.
-    use_seeds = seeds->size() != 1;
-    if (!use_seeds && !seeds->empty()) {
-      for (TermId id : (*seeds)[0])
-        if (id != kNullTermId) use_seeds = true;
-    }
-  }
   if (use_seeds) {
     run.op = std::make_unique<SeedScan>(seeds, width);
     if (build_desc)
