@@ -6,9 +6,9 @@
 // the engine's row multiset matches a deliberately naive brute-force
 // reference evaluator (nested loops over the full triple list, no
 // indexes, no planner) — the single reference the executor is checked
-// against. SPARQL updates get the same treatment (the update oracle at the end): the
-// post-update store is compared triple for triple against the reference
-// solutions instantiated into the update template.
+// against. SPARQL updates get the same treatment (the update oracle at
+// the end): the post-update store is compared triple for triple against
+// the reference solutions instantiated into the update template.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -1191,7 +1191,8 @@ TEST(ExecOracleTest, UnboundTemplateVariableFailsTheWholeUpdate) {
         << text;
     EXPECT_EQ(StoreFacts(store), pristine) << text;
   }
-  auto none = engine.ExecuteString("INSERT { ?s <r> ?zz } WHERE { ?s <nope> ?o }");
+  auto none =
+      engine.ExecuteString("INSERT { ?s <r> ?zz } WHERE { ?s <nope> ?o }");
   ASSERT_TRUE(none.ok()) << none.status();
   EXPECT_EQ(none->num_inserted, 0u);
   EXPECT_EQ(StoreFacts(store), pristine);
