@@ -78,6 +78,13 @@ struct RTriple {
   }
 };
 
+/// The store term for a reference term: an IRI or an xsd:integer literal.
+Term ToTerm(const RTerm& t) {
+  return t.iri ? Term::Iri(t.lex)
+               : Term::TypedLiteral(
+                     t.lex, "http://www.w3.org/2001/XMLSchema#integer");
+}
+
 /// A pattern position: a variable name or a constant.
 struct RNode {
   bool is_var = false;
@@ -511,14 +518,8 @@ void RunSeeds(uint64_t first_seed, int count, const GenOptions& opts) {
       sopts.index_set = rdf::TripleStore::Options::IndexSet::kClassicTrio;
     if (seed % 2 == 1) sopts.block_size = 1 + seed % 5;
     rdf::TripleStore store(sopts);
-    for (const RTriple& f : c.facts) {
-      auto to_term = [](const RTerm& t) {
-        return t.iri ? Term::Iri(t.lex)
-                     : Term::TypedLiteral(
-                           t.lex, "http://www.w3.org/2001/XMLSchema#integer");
-      };
-      store.Insert(to_term(f.s), to_term(f.p), to_term(f.o));
-    }
+    for (const RTriple& f : c.facts)
+      store.Insert(ToTerm(f.s), ToTerm(f.p), ToTerm(f.o));
 
     QueryEngine engine(&store);
     auto streamed = engine.ExecuteString(c.sparql);
@@ -747,14 +748,9 @@ TEST(ExecOracleTest, SnapshotQueriesSurviveInterleavedMutationBatches) {
     rdf::TripleStore::Options sopts;
     if (seed % 2 == 1) sopts.block_size = 1 + seed % 5;
     rdf::TripleStore store(sopts);
-    auto to_term = [](const RTerm& t) {
-      return t.iri ? Term::Iri(t.lex)
-                   : Term::TypedLiteral(
-                         t.lex, "http://www.w3.org/2001/XMLSchema#integer");
-    };
     std::set<RTriple> live(c.facts.begin(), c.facts.end());
     for (const RTriple& f : c.facts)
-      store.Insert(to_term(f.s), to_term(f.p), to_term(f.o));
+      store.Insert(ToTerm(f.s), ToTerm(f.p), ToTerm(f.o));
 
     auto parsed = ParseQuery(c.sparql);
     ASSERT_TRUE(parsed.ok()) << parsed.status() << "\n" << c.sparql;
@@ -770,9 +766,9 @@ TEST(ExecOracleTest, SnapshotQueriesSurviveInterleavedMutationBatches) {
         auto it = live.begin();
         std::advance(it, rng.NextUint(live.size()));
         const RTriple victim = *it;
-        const rdf::Triple t(store.dict().Find(to_term(victim.s)),
-                            store.dict().Find(to_term(victim.p)),
-                            store.dict().Find(to_term(victim.o)));
+        const rdf::Triple t(store.dict().Find(ToTerm(victim.s)),
+                            store.dict().Find(ToTerm(victim.p)),
+                            store.dict().Find(ToTerm(victim.o)));
         ASSERT_TRUE(store.Erase(t)) << "seed=" << seed;
         live.erase(it);
       }
@@ -781,7 +777,7 @@ TEST(ExecOracleTest, SnapshotQueriesSurviveInterleavedMutationBatches) {
                         {true, "p" + std::to_string(rng.NextUint(5))},
                         {true, "n" + std::to_string(rng.NextUint(14))}};
         if (live.insert(f).second) {
-          ASSERT_TRUE(store.Insert(to_term(f.s), to_term(f.p), to_term(f.o)));
+          ASSERT_TRUE(store.Insert(ToTerm(f.s), ToTerm(f.p), ToTerm(f.o)));
         }
       }
       if (round == 1) store.Compact();
@@ -835,15 +831,8 @@ TEST(ExecOracleTest, ResultTablesIdenticalAcrossThreadCounts) {
       tensor::Rng rng(seed);
       Case c = GenerateCase(&rng, opts);
       rdf::TripleStore store;
-      for (const RTriple& f : c.facts) {
-        auto to_term = [](const RTerm& t) {
-          return t.iri ? Term::Iri(t.lex)
-                       : Term::TypedLiteral(
-                             t.lex,
-                             "http://www.w3.org/2001/XMLSchema#integer");
-        };
-        store.Insert(to_term(f.s), to_term(f.p), to_term(f.o));
-      }
+      for (const RTriple& f : c.facts)
+        store.Insert(ToTerm(f.s), ToTerm(f.p), ToTerm(f.o));
       QueryEngine engine(&store);
       auto result = engine.ExecuteString(c.sparql);
       EXPECT_TRUE(result.ok())
@@ -883,15 +872,8 @@ TEST(ExecOracleTest, ParallelOperatorsIdenticalAcrossThreadCounts) {
       tensor::Rng rng(seed);
       Case c = GenerateCase(&rng, opts);
       rdf::TripleStore store;
-      for (const RTriple& f : c.facts) {
-        auto to_term = [](const RTerm& t) {
-          return t.iri ? Term::Iri(t.lex)
-                       : Term::TypedLiteral(
-                             t.lex,
-                             "http://www.w3.org/2001/XMLSchema#integer");
-        };
-        store.Insert(to_term(f.s), to_term(f.p), to_term(f.o));
-      }
+      for (const RTriple& f : c.facts)
+        store.Insert(ToTerm(f.s), ToTerm(f.p), ToTerm(f.o));
       QueryEngine engine(&store);
       auto result = engine.ExecuteString(c.sparql);
       EXPECT_TRUE(result.ok())
@@ -926,12 +908,6 @@ struct UpdateCase {
   std::vector<RPattern> tmpl;  // ground for INSERT DATA
   std::string sparql;
 };
-
-Term ToTerm(const RTerm& t) {
-  return t.iri ? Term::Iri(t.lex)
-               : Term::TypedLiteral(
-                     t.lex, "http://www.w3.org/2001/XMLSchema#integer");
-}
 
 void CollectVars(const std::vector<RPattern>& patterns,
                  std::set<std::string>* out) {
