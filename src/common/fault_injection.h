@@ -8,7 +8,7 @@
 // same decision schedule, same injected faults, same final state.
 //
 // The injector is compiled in always and inert by default: a disabled
-// ShouldFail() is one relaxed atomic load. It arms itself from the
+// ShouldFail() is one atomic load. It arms itself from the
 // environment on first use (KGNET_FAULT_SEED + KGNET_FAULT_RATE, both
 // required, strict-validated with a warn-once fallback), or explicitly
 // via Configure()/Disable() from tests.
@@ -55,18 +55,20 @@ class FaultInjector {
   /// resets all counters; ConfigureSite() additionally restricts firing
   /// to one site (other sites still count invocations, preserving the
   /// schedule, but never fail — lets a test fault the model call without
-  /// chaosing its own sockets); Disable() disarms and resets. Not
-  /// thread-safe against concurrent ShouldFail() — call between test
-  /// phases only.
+  /// chaosing its own sockets); Disable() disarms and resets. Every
+  /// field is atomic, so these may run while server threads call
+  /// ShouldFail(); an invocation racing a reconfiguration sees either
+  /// the old or the new setting, so a byte-exact replay still arms
+  /// between test phases.
   void Configure(uint64_t seed, double rate);
   void ConfigureSite(uint64_t seed, double rate, FaultSite only_site);
   void Disable();
 
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
-  uint64_t seed() const { return seed_; }
-  double rate() const { return rate_; }
+  uint64_t seed() const { return seed_.load(); }
+  double rate() const { return rate_.load(); }
   /// Site restriction in effect (-1 = all sites).
-  int only_site() const { return only_site_; }
+  int only_site() const { return only_site_.load(); }
 
   /// Invocations / injected faults at `site` since the last (re)arm.
   uint64_t invocations(FaultSite site) const;
@@ -79,13 +81,17 @@ class FaultInjector {
 
  private:
   FaultInjector();
+  /// Disarms, resets the counters, stores the configuration, then arms
+  /// when `rate` > 0 (the release store publishes the fields to
+  /// ShouldFail's acquire load).
+  void Arm(uint64_t seed, double rate, int only_site);
   void ResetCounters();
 
   std::atomic<bool> enabled_{false};
-  uint64_t seed_ = 0;
-  double rate_ = 0.0;
+  std::atomic<uint64_t> seed_{0};
+  std::atomic<double> rate_{0.0};
   /// -1 = all sites; otherwise only this site fires (test hook).
-  int only_site_ = -1;
+  std::atomic<int> only_site_{-1};
   std::atomic<uint64_t> count_[kNumFaultSites];
   std::atomic<uint64_t> fired_[kNumFaultSites];
 };

@@ -55,17 +55,6 @@ class RunCursor {
   /// Rows left in the range (exact).
   size_t remaining() const { return end_ - pos_; }
 
-  /// A fresh cursor over `count` rows starting `offset` rows past this
-  /// cursor's current position (clamped to the cursor's end). The slice
-  /// seeks via the skip table like any new cursor; this cursor is not
-  /// advanced. Morsel-parallel scans carve one range cursor into
-  /// per-morsel slices with this.
-  RunCursor Slice(size_t offset, size_t count) const {
-    const size_t lo = pos_ + std::min(offset, end_ - pos_);
-    const size_t hi = lo + std::min(count, end_ - lo);
-    return RunCursor(run_, lo, hi);
-  }
-
  private:
   friend class CompressedRun;
   RunCursor(const CompressedRun* run, size_t pos, size_t end)

@@ -1,9 +1,6 @@
 #include "sparql/exec.h"
 
-#include <algorithm>
 #include <utility>
-
-#include "common/thread_pool.h"
 
 namespace kgnet::sparql {
 
@@ -157,23 +154,6 @@ TriplePattern BindPattern(const CompiledPattern& cp, const Solution& sol) {
 
 // --------------------------------------------------------------- helpers --
 
-MorselConfig& GetMorselConfig() {
-  static MorselConfig cfg;
-  return cfg;
-}
-
-namespace {
-
-/// True when the morsel-parallel code paths should engage at all:
-/// either the pool is configured wider than one thread, or the config
-/// forces them (in which case ParallelFor runs inline over the same
-/// chunk bounds — the machinery is exercised, the results unchanged).
-bool ParallelEligible(const MorselConfig& cfg) {
-  return cfg.force_parallel || common::ThreadPool::num_threads() > 1;
-}
-
-}  // namespace
-
 bool MergeRows(const Solution& l, const Solution& r, Solution* out) {
   const size_t n = out->size();
   for (size_t i = 0; i < n; ++i) {
@@ -210,19 +190,6 @@ void IndexScan::Open(const Solution& outer) {
   TriplePattern pattern = BindPattern(cp_, base_);
   rdf::IndexOrder order = order_ ? *order_ : snapshot_->ChooseIndex(pattern);
   cursor_ = snapshot_->OpenCursor(order, pattern);
-  cfg_ = GetMorselConfig();
-  if (cfg_.scan_morsel_rows == 0) cfg_.scan_morsel_rows = 1;
-  total_rows_ = cursor_.remaining();
-  // Slice() carves the generation-run range, so morsel decode requires a
-  // delta-free range (sliceable); a dirty range streams serially via the
-  // merging cursor until the next compaction.
-  parallel_ = ParallelEligible(cfg_) &&
-              total_rows_ >= cfg_.scan_min_parallel_rows &&
-              cursor_.sliceable();
-  scan_pos_ = 0;
-  wave_morsels_ = 1;
-  buf_.clear();
-  buf_pos_ = 0;
 }
 
 bool IndexScan::BindRow(const Triple& t, Solution* row) const {
@@ -244,51 +211,7 @@ bool IndexScan::BindRow(const Triple& t, Solution* row) const {
   return ok;
 }
 
-void IndexScan::DecodeWave() {
-  // One wave = wave_morsels_ fixed-size morsels (fewer at the tail).
-  // Each morsel decodes a Slice of the parked range cursor on the pool
-  // into its own buffer slot; the driver then concatenates the slots in
-  // morsel order and folds the per-morsel scan counts into stats_, so
-  // both the row stream and the counters are exactly the serial ones.
-  // The wave size ramps 1, 2, 4, ... morsels so a LIMIT consuming only
-  // a few rows never pays for a deep decode-ahead.
-  const size_t grain = cfg_.scan_morsel_rows;
-  const size_t rows = std::min(total_rows_ - scan_pos_, wave_morsels_ * grain);
-  const size_t nchunks = (rows + grain - 1) / grain;
-  std::vector<std::vector<Solution>> bufs(nchunks);
-  std::vector<size_t> scanned(nchunks, 0);
-  common::ParallelFor(0, rows, grain, [&](size_t b, size_t e) {
-    const size_t ci = b / grain;
-    rdf::TripleCursor c = cursor_.Slice(scan_pos_ + b, e - b);
-    Triple t;
-    Solution out;
-    while (c.Next(&t)) {
-      ++scanned[ci];
-      if (BindRow(t, &out)) bufs[ci].push_back(std::move(out));
-    }
-  });
-  buf_.clear();
-  buf_pos_ = 0;
-  for (size_t i = 0; i < nchunks; ++i) {
-    stats_->rows_scanned += scanned[i];
-    for (Solution& r : bufs[i]) buf_.push_back(std::move(r));
-  }
-  scan_pos_ += rows;
-  wave_morsels_ = std::min(wave_morsels_ * 2, cfg_.scan_max_wave_morsels);
-}
-
 bool IndexScan::Next(Solution* row) {
-  if (parallel_) {
-    for (;;) {
-      if (Cancelled()) return false;
-      if (buf_pos_ < buf_.size()) {
-        *row = std::move(buf_[buf_pos_++]);
-        return true;
-      }
-      if (scan_pos_ >= total_rows_) return false;
-      DecodeWave();
-    }
-  }
   Triple t;
   while (cursor_.Next(&t)) {
     if (Cancelled()) return false;
@@ -310,33 +233,6 @@ void SortMergeJoin::Open(const Solution& outer) {
   group_.clear();
   gpos_ = 0;
   matching_ = false;
-  cfg_ = GetMorselConfig();
-  parallel_ = ParallelEligible(cfg_) && cfg_.smj_min_parallel_group > 0;
-  emit_.clear();
-  epos_ = 0;
-}
-
-void SortMergeJoin::MergeGroupParallel() {
-  // (current left row) x (rest of the group), merged in fixed chunks on
-  // the pool and concatenated in chunk order — the same row order (and
-  // the same inconsistent-row drops) as the one-at-a-time loop.
-  const size_t base = gpos_;
-  const size_t n = group_.size() - base;
-  const size_t grain = std::max<size_t>(1, cfg_.smj_min_parallel_group / 4);
-  const size_t nchunks = (n + grain - 1) / grain;
-  std::vector<std::vector<Solution>> bufs(nchunks);
-  common::ParallelFor(0, n, grain, [&](size_t b, size_t e) {
-    std::vector<Solution>& out = bufs[b / grain];
-    for (size_t i = b; i < e; ++i) {
-      Solution m(lrow_.size());
-      if (MergeRows(lrow_, group_[base + i], &m)) out.push_back(std::move(m));
-    }
-  });
-  emit_.clear();
-  epos_ = 0;
-  for (std::vector<Solution>& bvec : bufs)
-    for (Solution& m : bvec) emit_.push_back(std::move(m));
-  gpos_ = group_.size();
 }
 
 bool SortMergeJoin::AdvanceLeft() {
@@ -357,15 +253,7 @@ bool SortMergeJoin::Next(Solution* row) {
     if (Cancelled()) return false;
     if (matching_) {
       // Emit remaining (current left row) x (buffered right group) pairs.
-      if (epos_ < emit_.size()) {
-        *row = std::move(emit_[epos_++]);
-        return true;
-      }
       if (gpos_ < group_.size()) {
-        if (parallel_ && group_.size() - gpos_ >= cfg_.smj_min_parallel_group) {
-          MergeGroupParallel();
-          continue;  // drain emit_ (possibly empty) on the next pass
-        }
         const Solution& r = group_[gpos_++];
         row->resize(lrow_.size());
         if (MergeRows(lrow_, r, row)) return true;
@@ -415,16 +303,12 @@ uint64_t HashJoin::KeyOf(const Solution& row) const {
 }
 
 void HashJoin::Open(const Solution& outer) {
-  cfg_ = GetMorselConfig();
-  const size_t parts = std::max<size_t>(1, cfg_.join_partitions);
-  ptables_.assign(parts, {});
-  btables_.assign(parts, {});
+  ptable_.clear();
+  btable_.clear();
   pending_.clear();
   out_pos_ = 0;
   probe_done_ = build_done_ = false;
   turn_probe_ = true;
-  parallel_ = ParallelEligible(cfg_) && cfg_.join_min_parallel_batch > 0;
-  batch_rows_ = std::max<size_t>(1, cfg_.join_min_parallel_batch);
   probe_->Open(outer);
   build_->Open(outer);
 }
@@ -440,10 +324,7 @@ bool HashJoin::Next(Solution* row) {
     if (!status_.ok()) return false;
     if (Cancelled()) return false;
     if (probe_done_ && build_done_) return false;
-    if (parallel_)
-      StepBatch();
-    else
-      StepOne();
+    StepOne();
   }
 }
 
@@ -462,8 +343,7 @@ void HashJoin::StepOne() {
     return;
   }
   const uint64_t key = KeyOf(r);
-  const size_t part = key % ptables_.size();
-  auto& other = take_probe ? btables_[part] : ptables_[part];
+  auto& other = take_probe ? btable_ : ptable_;
   auto it = other.find(key);
   if (it != other.end()) {
     for (const Solution& o : it->second) {
@@ -475,95 +355,7 @@ void HashJoin::StepOne() {
   // one input is exhausted, the survivor's rows have already seen every
   // partner, so keeping them would just materialize the larger input.
   if (!(take_probe ? build_done_ : probe_done_))
-    (take_probe ? ptables_[part] : btables_[part])[key].push_back(std::move(r));
-}
-
-void HashJoin::StepBatch() {
-  // Phase 1 (driver): pull a batch under the exact serial alternation
-  // protocol, recording for every row the side it came from and whether
-  // the serial loop would have stored it (a function of the done flags
-  // at pull time). The batch ramps so a LIMIT near the top still stops
-  // both inputs after a handful of rows.
-  struct Entry {
-    Solution row;
-    uint64_t key = 0;
-    bool from_probe = false;
-    bool store = false;
-  };
-  const size_t target = batch_rows_;
-  batch_rows_ = std::min(std::max<size_t>(1, cfg_.join_max_batch_rows),
-                         batch_rows_ * 2);
-  std::vector<Entry> entries;
-  entries.reserve(target);
-  while (entries.size() < target && !(probe_done_ && build_done_)) {
-    const bool take_probe = build_done_ || (!probe_done_ && turn_probe_);
-    turn_probe_ = !turn_probe_;
-    Operator* src = take_probe ? probe_.get() : build_.get();
-    Entry e;
-    if (!src->Next(&e.row)) {
-      if (!src->status().ok()) {
-        // Keep the rows pulled before the error: the serial loop emitted
-        // their matches before it ever reached the failing pull.
-        status_ = src->status();
-        break;
-      }
-      (take_probe ? probe_done_ : build_done_) = true;
-      continue;
-    }
-    e.key = KeyOf(e.row);
-    e.from_probe = take_probe;
-    e.store = !(take_probe ? build_done_ : probe_done_);
-    entries.push_back(std::move(e));
-  }
-  if (entries.empty()) return;
-
-  // Phase 2 (pool): partition the batch by key hash — rows that can ever
-  // match share a key, hence a partition — and replay each partition's
-  // entries in batch order against its persistent tables. Partitions
-  // touch disjoint tables and disjoint output slots, so the tasks are
-  // independent; the replay inside one partition is the serial protocol
-  // verbatim.
-  const size_t parts = ptables_.size();
-  std::vector<std::vector<size_t>> by_part(parts);
-  for (size_t i = 0; i < entries.size(); ++i)
-    by_part[entries[i].key % parts].push_back(i);
-  std::vector<std::vector<std::pair<size_t, Solution>>> matched(parts);
-  common::ParallelFor(0, parts, 1, [&](size_t pb, size_t pe) {
-    for (size_t p = pb; p < pe; ++p) {
-      for (size_t i : by_part[p]) {
-        Entry& e = entries[i];
-        auto& other = e.from_probe ? btables_[p] : ptables_[p];
-        auto it = other.find(e.key);
-        if (it != other.end()) {
-          for (const Solution& o : it->second) {
-            Solution out(e.row.size());
-            if (MergeRows(e.row, o, &out))
-              matched[p].emplace_back(i, std::move(out));
-          }
-        }
-        if (e.store)
-          (e.from_probe ? ptables_[p] : btables_[p])[e.key].push_back(
-              std::move(e.row));
-      }
-    }
-  });
-
-  // Phase 3 (driver): stitch the partition outputs back into the serial
-  // emission order. The serial loop emits a row's matches when the later
-  // of its two sides arrives, so ordering by batch index reproduces it;
-  // one entry's matches are already contiguous and bucket-ordered inside
-  // its partition's list, and the stable sort keeps them that way.
-  size_t total = 0;
-  for (const auto& v : matched) total += v.size();
-  std::vector<std::pair<size_t, Solution>> flat;
-  flat.reserve(total);
-  for (auto& v : matched)
-    for (auto& pr : v) flat.push_back(std::move(pr));
-  std::stable_sort(
-      flat.begin(), flat.end(),
-      [](const std::pair<size_t, Solution>& a,
-         const std::pair<size_t, Solution>& b) { return a.first < b.first; });
-  for (auto& pr : flat) pending_.push_back(std::move(pr.second));
+    (take_probe ? ptable_ : btable_)[key].push_back(std::move(r));
 }
 
 // -------------------------------------------------------------- BindJoin --

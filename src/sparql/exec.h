@@ -10,19 +10,10 @@
 // unordered cases; UnionAll and LeftOuterJoin stream UNION and OPTIONAL
 // groups without materializing between stages.
 //
-// Morsel-driven parallelism: when more than one thread is configured
-// (see common/thread_pool.h) the bulky operators run their inner work on
-// the shared pool in fixed-size morsels — IndexScan decodes waves of
-// index-range morsels, HashJoin replays pulled batches against
-// hash-partitioned tables, SortMergeJoin merges large right-side groups
-// in chunks. Every parallel path is latched at Open(): with one thread
-// (and force_parallel off) the exact serial code runs, and when a
-// parallel path does engage, morsel bounds, partition assignment and
-// merge order are pure functions of the MorselConfig — never of the
-// thread count — so the emitted row stream is bitwise-identical to the
-// serial one at any KGNET_NUM_THREADS. LIMIT short-circuiting survives
-// because waves and batches ramp up from small sizes instead of
-// materializing inputs.
+// Execution is serial: one driver thread pulls every operator, and the
+// shared common::ThreadPool never reaches the executor, so the emitted
+// row stream and the ExecStats counters are the same at any
+// KGNET_NUM_THREADS.
 //
 // This header also hosts the evaluation helpers shared with the engine's
 // projection/filter code: the variable table, compiled patterns and the
@@ -123,47 +114,9 @@ rdf::TriplePattern BindPattern(const CompiledPattern& cp, const Solution& sol);
 
 /// Counters shared by every operator of one plan; surfaced to callers as
 /// QueryEngine::ExecInfo so tests can assert that LIMIT short-circuits.
-/// Updated only on the driver thread — parallel morsels count into
-/// per-morsel slots that the driver folds in after each wave — so the
-/// totals are deterministic for a fixed MorselConfig.
 struct ExecStats {
   size_t rows_scanned = 0;  // matching triples pulled out of index cursors
 };
-
-/// Tuning knobs for the executor's morsel-driven parallelism. All sizes
-/// are thread-count independent on purpose: they fix the morsel bounds,
-/// partition assignment and merge order, which is what keeps results
-/// bitwise-identical at any thread count. The defaults keep small
-/// queries (and every existing LIMIT short-circuit guarantee) on the
-/// serial code path; tests shrink them to drive the parallel operators
-/// over tiny graphs.
-struct MorselConfig {
-  /// Index rows per scan morsel (one ParallelFor chunk).
-  size_t scan_morsel_rows = 1024;
-  /// Minimum index range before IndexScan parallelizes at all.
-  size_t scan_min_parallel_rows = 4096;
-  /// Wave ramp cap: a scan decodes 1, 2, 4, ... up to this many morsels
-  /// ahead of consumption, so a LIMIT near the top still stops early.
-  size_t scan_max_wave_morsels = 32;
-  /// Rows HashJoin pulls per batch when parallel (ramps up to
-  /// join_max_batch_rows); also the initial batch size.
-  size_t join_min_parallel_batch = 64;
-  size_t join_max_batch_rows = 2048;
-  /// Hash partitions (tables and batch replay parallelism) per side.
-  size_t join_partitions = 16;
-  /// Minimum right-group size before SortMergeJoin merges a group on the
-  /// pool instead of row-at-a-time.
-  size_t smj_min_parallel_group = 256;
-  /// Engage the parallel code paths even at one configured thread
-  /// (ParallelFor then runs inline with identical chunk bounds). Lets
-  /// single-threaded tests and benchmarks exercise the morsel machinery.
-  bool force_parallel = false;
-};
-
-/// The process-wide executor parallelism knobs. Mutate only between
-/// queries (operators snapshot it at Open); the defaults are right for
-/// production use.
-MorselConfig& GetMorselConfig();
 
 /// A pull-based streaming operator.
 class Operator {
@@ -195,9 +148,7 @@ class Operator {
 
  protected:
   /// Cancellation poll for Next() loops: true once the token tripped,
-  /// with status_ set to the Cancelled/DeadlineExceeded status. Polls
-  /// only on the driver thread (Next() is driver-only), per the
-  /// CancelToken threading contract.
+  /// with status_ set to the Cancelled/DeadlineExceeded status.
   bool Cancelled() {
     if (!cancel_.valid()) return false;
     Status s = cancel_.Check();
@@ -261,9 +212,6 @@ class IndexScan : public Operator {
   /// Binds `t` into `*row` (starting from base_); false when a repeated
   /// variable disagrees with itself.
   bool BindRow(const rdf::Triple& t, Solution* row) const;
-  /// Decodes the next wave of morsels from the index range into buf_
-  /// (parallel mode only).
-  void DecodeWave();
 
   const rdf::Snapshot* snapshot_;
   CompiledPattern cp_;
@@ -273,18 +221,6 @@ class IndexScan : public Operator {
   ExecStats* stats_;
   rdf::TripleCursor cursor_;
   Solution base_;
-  // Morsel-parallel scan state. When parallel_ (latched at Open: range
-  // >= scan_min_parallel_rows and pool configured wide, or
-  // force_parallel), cursor_ stays parked at the range start and waves
-  // of Slice() morsels decode on the pool into buf_, merged in morsel
-  // order; otherwise Next() advances cursor_ exactly as before.
-  bool parallel_ = false;
-  MorselConfig cfg_;
-  size_t total_rows_ = 0;    // index rows in the range at Open
-  size_t scan_pos_ = 0;      // index rows already decoded
-  size_t wave_morsels_ = 1;  // ramp: morsels in the next wave
-  std::vector<Solution> buf_;
-  size_t buf_pos_ = 0;
 };
 
 /// Merge join of two inputs ordered on the same variable slot. Residual
@@ -302,10 +238,6 @@ class SortMergeJoin : public Operator {
  private:
   bool AdvanceLeft();
   bool AdvanceRight();
-  /// Merges the rest of the current right group with lrow_ on the pool
-  /// (chunk-ordered, so the emitted order equals the serial one) into
-  /// emit_, consuming the group.
-  void MergeGroupParallel();
 
   std::unique_ptr<Operator> left_, right_;
   int key_;
@@ -315,12 +247,6 @@ class SortMergeJoin : public Operator {
   rdf::TermId gkey_ = rdf::kNullTermId;
   size_t gpos_ = 0;
   bool matching_ = false;
-  // Parallel group emission (latched at Open; engages per group when the
-  // group is at least smj_min_parallel_group rows).
-  bool parallel_ = false;
-  MorselConfig cfg_;
-  std::vector<Solution> emit_;
-  size_t epos_ = 0;
 };
 
 /// Hash join with a lazily-drained build side (symmetric hash join).
@@ -350,30 +276,19 @@ class HashJoin : public Operator {
   /// re-validates every shared slot, so results stay exact.
   uint64_t KeyOf(const Solution& row) const;
 
-  /// Serial step: pull one row following the alternation protocol, probe
-  /// and store it. Appends matches to pending_.
+  /// Pulls one row following the alternation protocol, probes the other
+  /// side's table and stores the row. Appends matches to pending_.
   void StepOne();
-  /// Parallel step: pull a (ramping) batch of rows under the same
-  /// alternation protocol, then replay it against the hash-partitioned
-  /// tables — one pool task per partition — and stitch the partition
-  /// outputs back into serial emission order by batch index.
-  void StepBatch();
 
   std::unique_ptr<Operator> probe_, build_;
   std::vector<int> key_slots_;
-  /// Per-side tables, hash-partitioned by key % join_partitions. The
-  /// partitioning is semantically invisible (a key's bucket lives in
-  /// exactly one partition) but lets StepBatch process partitions
-  /// independently. Only keyed find()/insert — never iterated.
-  std::vector<std::unordered_map<uint64_t, std::vector<Solution>>> ptables_,
-      btables_;
+  /// Per-side tables: key hash -> rows in arrival order. Only keyed
+  /// find()/insert — never iterated.
+  std::unordered_map<uint64_t, std::vector<Solution>> ptable_, btable_;
   std::vector<Solution> pending_;  // merged rows awaiting emission
   size_t out_pos_ = 0;
   bool probe_done_ = false, build_done_ = false;
   bool turn_probe_ = true;
-  bool parallel_ = false;  // latched at Open
-  MorselConfig cfg_;
-  size_t batch_rows_ = 0;  // current batch size (ramps up)
 };
 
 /// Index nested-loop join: re-opens the inner side (an IndexScan in
@@ -398,9 +313,7 @@ class BindJoin : public Operator {
 /// and so on. Every child is (re)opened with the same outer row, so a
 /// UnionAll used as the inner side of a BindJoin replays every UNION
 /// alternative once per outer row — the streaming form of the engine's
-/// dependent-union semantics. Deliberately barrier-free under the morsel
-/// executor: each child's partial waves stream through as they decode;
-/// no alternative waits for another to finish.
+/// dependent-union semantics.
 class UnionAll : public Operator {
  public:
   explicit UnionAll(std::vector<std::unique_ptr<Operator>> children)
@@ -419,9 +332,7 @@ class UnionAll : public Operator {
 /// side is re-opened once per left row with that row's bindings pushed
 /// into its seek prefixes (like BindJoin); when it yields no extension,
 /// the bare left row is emitted instead of being dropped. Preserves the
-/// left side's order. Barrier-free under the morsel executor: left-side
-/// waves stream through one row at a time — the join never waits for a
-/// full left partition before probing the right side.
+/// left side's order.
 class LeftOuterJoin : public Operator {
  public:
   LeftOuterJoin(std::unique_ptr<Operator> left,

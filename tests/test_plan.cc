@@ -5,9 +5,11 @@
 
 #include <string>
 
+#include "common/thread_pool.h"
 #include "rdf/term.h"
 #include "sparql/engine.h"
 #include "sparql/parser.h"
+#include "tests/parallel_test_util.h"
 
 namespace kgnet::sparql {
 namespace {
@@ -240,6 +242,68 @@ TEST_F(PlanTest, AskStopsAtFirstRow) {
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r->ask_result);
   EXPECT_LT(info.rows_scanned, 30u);
+}
+
+// The executor is serial at any pool width: a LIMIT over a lone scan
+// pulls exactly LIMIT rows out of the cursor, with no decode-ahead, even
+// on a compacted range far larger than one index block.
+TEST(PlanLimitTest, ScanPullsExactlyLimitRowsAtAnyPoolWidth) {
+  kgnet::testing::ThreadCountGuard guard;
+  rdf::TripleStore store;
+  for (int s = 0; s < 300; ++s)
+    for (int o = 0; o < 30; ++o)
+      store.InsertIris("s" + std::to_string(s), "p",
+                       "o" + std::to_string((s * 7 + o) % 97));
+  store.Compact();
+  ASSERT_GT(store.size(), 4096u);
+
+  QueryEngine engine(&store);
+  auto q = ParseQuery("SELECT * WHERE { ?s <p> ?o } LIMIT 5");
+  ASSERT_TRUE(q.ok()) << q.status();
+  for (int threads : {1, 4}) {
+    common::ThreadPool::SetNumThreads(threads);
+    ExecInfo info;
+    auto r = engine.Execute(*q, &info);
+    ASSERT_TRUE(r.ok()) << r.status();
+    EXPECT_EQ(r->NumRows(), 5u) << threads << " threads";
+    EXPECT_EQ(info.rows_scanned, 5u) << threads << " threads";
+  }
+}
+
+// LIMIT through a hash join stops *both* inputs at any pool width. The
+// classic trio lacks a cheap scan ordered on a subject-position join
+// variable under a bound predicate, so `?o <p2> ?b` forces the planner
+// off the merge join and onto the hash join.
+TEST(PlanLimitTest, HashJoinStopsBothScansUnderLimitAtAnyPoolWidth) {
+  kgnet::testing::ThreadCountGuard guard;
+  rdf::TripleStore::Options sopts;
+  sopts.index_set = rdf::TripleStore::Options::IndexSet::kClassicTrio;
+  rdf::TripleStore store(sopts);
+  for (int i = 0; i < 2000; ++i) {
+    store.InsertIris("a" + std::to_string(i), "p1",
+                     "o" + std::to_string(i % 50));
+    store.InsertIris("o" + std::to_string(i % 50), "p2",
+                     "b" + std::to_string(i));
+  }
+  store.Compact();
+  const size_t total = store.size();
+
+  QueryEngine engine(&store);
+  const std::string query =
+      "SELECT * WHERE { ?a <p1> ?o . ?o <p2> ?b . } LIMIT 4";
+  auto plan = engine.ExplainString(query);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  ASSERT_NE(plan->find("HashJoin"), std::string::npos) << *plan;
+  auto q = ParseQuery(query);
+  ASSERT_TRUE(q.ok()) << q.status();
+  for (int threads : {1, 4}) {
+    common::ThreadPool::SetNumThreads(threads);
+    ExecInfo info;
+    auto r = engine.Execute(*q, &info);
+    ASSERT_TRUE(r.ok()) << r.status();
+    EXPECT_EQ(r->NumRows(), 4u) << threads << " threads";
+    EXPECT_LT(info.rows_scanned, total / 4) << threads << " threads";
+  }
 }
 
 }  // namespace
