@@ -773,43 +773,31 @@ TEST(ExecOracleTest, SnapshotQueriesSurviveInterleavedMutationBatches) {
 // The executor is serial, but the store's index flush (and the
 // N-Triples bulk load above it) runs on the shared thread pool; every
 // query result must be identical no matter how many pool threads
-// rebuilt the permutation runs. Result rows are compared in emission
-// order, not just as multisets, across thread counts on a spread of
-// seeded graph/query cases — half of them compacted, half answered from
-// the delta — including DISTINCT/LIMIT/OFFSET cases, which are free to
-// pick any rows and so expose any change in the stream.
-TEST(ExecOracleTest, ResultTablesIdenticalAcrossThreadCounts) {
+// rebuilt the permutation runs. Runs the seeded cases [first_seed,
+// end_seed) at 1, 2 and 4 pool threads — odd seeds compacted, even ones
+// answered from the delta — and compares the result rows in emission
+// order, not just as multisets.
+void ExpectRowsIdenticalAcrossThreadCounts(uint64_t first_seed,
+                                           uint64_t end_seed,
+                                           const GenOptions& opts) {
   kgnet::testing::ThreadCountGuard thread_guard;
-  GenOptions opts;
-  opts.filters = true;
-  opts.unions = true;
-  opts.optionals = true;
-  GenOptions modifier_opts = opts;
-  modifier_opts.modifiers = true;
-  modifier_opts.distinct = true;
-
   using OrderedTable = std::vector<std::vector<Term>>;
   auto run = [&](int threads) {
     common::ThreadPool::SetNumThreads(threads);
     std::vector<OrderedTable> tables;
-    auto add = [&](uint64_t first_seed, uint64_t end_seed,
-                   const GenOptions& o) {
-      for (uint64_t seed = first_seed; seed < end_seed; ++seed) {
-        tensor::Rng rng(seed);
-        Case c = GenerateCase(&rng, o);
-        rdf::TripleStore store;
-        for (const RTriple& f : c.facts)
-          store.Insert(ToTerm(f.s), ToTerm(f.p), ToTerm(f.o));
-        if (seed % 2 == 1) store.Compact();
-        QueryEngine engine(&store);
-        auto result = engine.ExecuteString(c.sparql);
-        EXPECT_TRUE(result.ok())
-            << result.status() << "\nseed=" << seed << "\n" << c.sparql;
-        tables.push_back(result.ok() ? result->rows : OrderedTable{});
-      }
-    };
-    add(9000, 9012, opts);
-    add(9100, 9116, modifier_opts);
+    for (uint64_t seed = first_seed; seed < end_seed; ++seed) {
+      tensor::Rng rng(seed);
+      Case c = GenerateCase(&rng, opts);
+      rdf::TripleStore store;
+      for (const RTriple& f : c.facts)
+        store.Insert(ToTerm(f.s), ToTerm(f.p), ToTerm(f.o));
+      if (seed % 2 == 1) store.Compact();
+      QueryEngine engine(&store);
+      auto result = engine.ExecuteString(c.sparql);
+      EXPECT_TRUE(result.ok())
+          << result.status() << "\nseed=" << seed << "\n" << c.sparql;
+      tables.push_back(result.ok() ? result->rows : OrderedTable{});
+    }
     return tables;
   };
 
@@ -817,6 +805,26 @@ TEST(ExecOracleTest, ResultTablesIdenticalAcrossThreadCounts) {
   for (int threads : {2, 4})
     EXPECT_TRUE(want == run(threads)) << "diverged at " << threads
                                       << " threads";
+}
+
+TEST(ExecOracleTest, ResultTablesIdenticalAcrossThreadCounts) {
+  GenOptions opts;
+  opts.filters = true;
+  opts.unions = true;
+  opts.optionals = true;
+  ExpectRowsIdenticalAcrossThreadCounts(9000, 9012, opts);
+}
+
+// DISTINCT/LIMIT/OFFSET cases are free to pick any rows, so they expose
+// any change in the row stream that a multiset comparison would miss.
+TEST(ExecOracleTest, ModifierResultsIdenticalAcrossThreadCounts) {
+  GenOptions opts;
+  opts.filters = true;
+  opts.unions = true;
+  opts.optionals = true;
+  opts.modifiers = true;
+  opts.distinct = true;
+  ExpectRowsIdenticalAcrossThreadCounts(9100, 9116, opts);
 }
 
 // --------------------------------------------------------- update oracle --

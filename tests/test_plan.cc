@@ -247,8 +247,9 @@ TEST_F(PlanTest, AskStopsAtFirstRow) {
 // The executor is serial at any pool width: a LIMIT over a lone scan
 // pulls exactly LIMIT rows out of the cursor, with no decode-ahead, even
 // on a compacted range far larger than one index block.
-TEST(PlanLimitTest, ScanPullsExactlyLimitRowsAtAnyPoolWidth) {
+void ExpectScanPullsExactlyLimitRows(int threads) {
   kgnet::testing::ThreadCountGuard guard;
+  common::ThreadPool::SetNumThreads(threads);
   rdf::TripleStore store;
   for (int s = 0; s < 300; ++s)
     for (int o = 0; o < 30; ++o)
@@ -260,14 +261,19 @@ TEST(PlanLimitTest, ScanPullsExactlyLimitRowsAtAnyPoolWidth) {
   QueryEngine engine(&store);
   auto q = ParseQuery("SELECT * WHERE { ?s <p> ?o } LIMIT 5");
   ASSERT_TRUE(q.ok()) << q.status();
-  for (int threads : {1, 4}) {
-    common::ThreadPool::SetNumThreads(threads);
-    ExecInfo info;
-    auto r = engine.Execute(*q, &info);
-    ASSERT_TRUE(r.ok()) << r.status();
-    EXPECT_EQ(r->NumRows(), 5u) << threads << " threads";
-    EXPECT_EQ(info.rows_scanned, 5u) << threads << " threads";
-  }
+  ExecInfo info;
+  auto r = engine.Execute(*q, &info);
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_EQ(r->NumRows(), 5u);
+  EXPECT_EQ(info.rows_scanned, 5u);
+}
+
+TEST(PlanLimitTest, ScanPullsExactlyLimitRowsOnOneThread) {
+  ExpectScanPullsExactlyLimitRows(1);
+}
+
+TEST(PlanLimitTest, ScanPullsExactlyLimitRowsOnFourThreads) {
+  ExpectScanPullsExactlyLimitRows(4);
 }
 
 // LIMIT through a hash join stops *both* inputs at any pool width. The
